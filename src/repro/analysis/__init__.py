@@ -18,11 +18,10 @@ Three layers keep the "refactor freely, run fast" loop safe:
   MEA counter bounds, timeline monotonicity, and stats conservation.
 * the **deep dataflow lint** (``repro lint --deep``) — per-function
   CFGs (:mod:`~repro.analysis.cfg`) and dataflow queries
-  (:mod:`~repro.analysis.dataflow`) powering three checkers:
-  hoisted-state write-back proofs (:mod:`~repro.analysis.writeback`),
-  the numpy<->pure twin registry and manifest
-  (:mod:`~repro.analysis.twins`), and cache-key soundness from
-  ``simulate()`` (:mod:`~repro.analysis.cachekey`).
+  (:mod:`~repro.analysis.dataflow`) powering two checkers:
+  hoisted-state write-back proofs (:mod:`~repro.analysis.writeback`)
+  and cache-key soundness from ``simulate()``
+  (:mod:`~repro.analysis.cachekey`).
 """
 
 from .cfg import build_cfg, iter_function_scopes

@@ -30,16 +30,13 @@ encodes them as small AST rules over every module under ``src/``:
   trigger/flexibility, factory shape agreement, importable tracker
   path, unique and consistent names, canonical kinds present.
 
-``repro lint --deep`` adds three CFG/dataflow checkers (they import and
+``repro lint --deep`` adds two CFG/dataflow checkers (they import and
 analyse the whole tree, so they are opt-in for speed):
 
 * ``hoist-writeback`` — :mod:`repro.analysis.writeback` proves that
   every controller/manager attribute hoisted into a local is written
   back on *all* exits, including exceptional ones, and that declared
   ``# hoists:`` contracts hold.
-* ``twin-parity`` — :mod:`repro.analysis.twins` checks the registered
-  numpy<->pure twin functions for signature agreement and fingerprints
-  them against ``twin_manifest.json``.
 * ``cache-key`` — :mod:`repro.analysis.cachekey` walks everything
   reachable from ``simulate()`` and flags environment, wall-clock, or
   mutable-global reads that are not folded into the SimCell
@@ -83,7 +80,6 @@ RULES: Dict[str, str] = {
 #: rule id -> description for the ``--deep`` CFG/dataflow checkers.
 DEEP_RULES: Dict[str, str] = {
     "hoist-writeback": "hoisted state is written back on every exit path",
-    "twin-parity": "numpy<->pure twins agree and match the twin manifest",
     "cache-key": "no unfingerprinted inputs reachable from simulate()",
 }
 
@@ -142,11 +138,19 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     # kernels' swap sinks that merge it into buffered demand columns
     "repro/core/datapath.py::MigrationEngine.swap_pages",
     "repro/kernel/replay.py::_swap_merged_buffers",
-    "repro/kernel/replay.py::_swap_merged_rows",
-    # tracker batch twins the columnar kernels drive (bit-identical to
+    # the migrating kernels and the decode planes they index
+    "repro/kernel/replay.py::_replay_mempod",
+    "repro/kernel/replay.py::_replay_hma",
+    "repro/kernel/replay.py::_replay_thm",
+    "repro/kernel/replay.py::_single_plane",
+    "repro/kernel/replay.py::_hybrid_plane",
+    "repro/kernel/replay.py::_mempod_pod_plane",
+    "repro/kernel/replay.py::_thm_segment_plane",
+    # tracker batch passes the columnar kernels drive (bit-identical to
     # the per-record loops by the tracker differential suite)
     "repro/tracking/mea.py::MeaTracker.record",
     "repro/tracking/mea.py::MeaTracker.record_batch",
+    "repro/tracking/mea.py::MeaTracker._record_loop",
     "repro/tracking/competing.py::CompetingCounterArray.access_batch",
     "repro/tracking/competing.py::CompetingCounterArray._access_loop",
     "repro/tracking/full_counters.py::FullCountersTracker.record_batch",
@@ -159,6 +163,11 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     "repro/kernel/replay.py::_single_decode_np",
     "repro/kernel/replay.py::_hybrid_decode_np",
     "repro/kernel/replay.py::_stream_window",
+    # the trace codecs (on-disk bytes pinned by the trace io/store suites)
+    "repro/trace/io.py::_encode_records_v1",
+    "repro/trace/io.py::_decode_records_v1",
+    "repro/trace/io.py::_encode_plane",
+    "repro/trace/io.py::load_columnar_planes",
 )
 
 _WALL_CLOCK_ATTRS = frozenset({
@@ -739,7 +748,6 @@ def deep_findings(
     listed under the rule).
     """
     from .cachekey import check_cache_keys
-    from .twins import check_twin_parity
     from .writeback import check_writeback_source
 
     allow = allowlist if allowlist is not None else load_allowlist()
@@ -763,8 +771,6 @@ def deep_findings(
             source, display
         ):
             raw.append(("hoist-writeback", path, line, site, message))
-    for path, line, site, message in check_twin_parity(base):
-        raw.append(("twin-parity", path, line, site, message))
     for path, line, site, message in check_cache_keys(base):
         raw.append(("cache-key", path, line, site, message))
 
@@ -834,7 +840,7 @@ def run_lint(
     """Run every lint layer; print findings; return a process exit code.
 
     ``deep`` adds the CFG/dataflow checkers (hoist-writeback,
-    twin-parity, cache-key).  ``as_json`` emits one JSON object per
+    cache-key).  ``as_json`` emits one JSON object per
     finding (keys ``rule``/``path``/``line``/``message``) and no
     summary line, for machine consumption in CI.
     """
@@ -842,17 +848,9 @@ def run_lint(
 
     out = stream if stream is not None else sys.stdout
     if update_manifest:
-        from .twins import twin_fingerprints, write_twin_manifest
-
         fingerprints = write_kernel_manifest(manifest_path, root)
         print(
             f"kernel manifest updated: {len(fingerprints)} functions acknowledged",
-            file=out,
-        )
-        twin_prints = twin_fingerprints(root)
-        write_twin_manifest(twin_prints)
-        print(
-            f"twin manifest updated: {len(twin_prints)} sides acknowledged",
             file=out,
         )
 

@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--deep", action="store_true", default=False,
         help="also run the CFG/dataflow checkers: hoist-writeback, "
-             "twin-parity, cache-key",
+             "cache-key",
     )
     lint.add_argument(
         "--json", action="store_true", default=False, dest="as_json",
@@ -388,7 +388,7 @@ def _load_trace_file(
 ):
     """Open a trace file, inferring the format from its extension.
 
-    ``.mpt`` opens zero-copy (memory-mapped when numpy is available);
+    ``.mpt`` opens zero-copy (memory-mapped);
     the other formats load eagerly.  ``--format`` overrides inference
     for files with unconventional extensions.
     """
@@ -642,7 +642,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         set_default_runner(previous)
     if runner.tracker.total:
-        print(runner.tracker.summary(), file=sys.stderr)
+        summary = runner.tracker.summary()
+        corrupt = runner.cache.corrupt_entries if runner.cache is not None else 0
+        if corrupt:
+            summary += f", {corrupt} corrupt cache entries recomputed"
+        print(summary, file=sys.stderr)
     return 0
 
 

@@ -8,8 +8,8 @@ mutations with the per-record overhead hoisted out:
 
 * input comes from a :class:`~repro.trace.packed.PackedTrace`: columnar
   record fields plus precomputed page numbers and per-record address
-  decodes (channel/bank/row), vectorised through numpy when available
-  and memoised on the trace;
+  decodes (channel/bank/row), vectorised through numpy and memoised on
+  the trace;
 * one specialised loop per manager type inlines ``handle`` with every
   attribute lookup bound to a local and the common case fast-pathed —
   no blocked page (both block structures empty), identity remapping
@@ -23,7 +23,7 @@ mutations with the per-record overhead hoisted out:
 * the DRAM datapath is **batched**: instead of one
   ``ChannelController.enqueue`` call per record, each throttle chunk is
   regrouped by controller index (``PackedTrace.chunk_groups``, memoised
-  per memory layout, numpy stable-argsort with a pure-Python twin) and
+  per memory layout, numpy stable-argsort) and
   whole columns go down one ``enqueue_batch`` call per controller —
   exact because controllers share no state, intra-controller order is
   preserved within a chunk, and the offset only changes at chunk
@@ -35,9 +35,7 @@ mutations with the per-record overhead hoisted out:
   processed with vectorised penalty/translation/grouping passes and
   batched tracker updates (``record_batch`` / ``access_batch``), the
   event itself replays scalar, and swap traffic goes down the same
-  ``enqueue_batch`` datapath (``MigrationEngine.batch_swaps``).  Every
-  numpy kernel has a per-record pure-Python twin (``*_pure``) that the
-  no-numpy leg dispatches to.
+  ``enqueue_batch`` datapath (``MigrationEngine.batch_swaps``).
 
 **Equality contract**: for every supported configuration the fast
 kernel produces a ``SimulationResult`` equal field-for-field to the
@@ -92,10 +90,7 @@ from ..system.simulator import (
 from ..system.stats import collect_result
 from ..trace.store import DEFAULT_TRACE_WINDOW
 
-try:  # optional accelerator; plane builders have pure-Python twins
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as _np
 
 LINE_SHIFT = LINE_BYTES.bit_length() - 1
 
@@ -158,18 +153,9 @@ def _single_plane(packed, device):
     plane = packed.planes.get(key)
     if plane is None:
         addresses = packed.np_addresses()
-        if addresses is not None:
-            ctrls = ((addresses >> mapper._bank_shift) & mapper._chan_mask).tolist()
-            banks = ((addresses >> mapper._row_shift) & mapper._bank_mask).tolist()
-            rows = (addresses >> mapper._chan_shift).tolist()
-        else:
-            decode = mapper.fast_decode
-            ctrls, banks, rows = [], [], []
-            for address in packed.addresses:
-                channel, bank, row = decode(address)
-                ctrls.append(channel)
-                banks.append(bank)
-                rows.append(row)
+        ctrls = ((addresses >> mapper._bank_shift) & mapper._chan_mask).tolist()
+        banks = ((addresses >> mapper._row_shift) & mapper._bank_mask).tolist()
+        rows = (addresses >> mapper._chan_shift).tolist()
         plane = (ctrls, banks, rows)
         packed.planes[key] = plane
     return plane
@@ -189,40 +175,25 @@ def _hybrid_plane(packed, memory):
     plane = packed.planes.get(key)
     if plane is None:
         addresses = packed.np_addresses()
-        if addresses is not None:
-            ctrl_col = bank_col = row_col = None
-            # Walk the table last tier first: the final tier is the
-            # unconditional branch (the old else-arm), earlier tiers
-            # overlay it under their `address < end` condition.
-            for start, end, base, mapper in reversed(table):
-                off = addresses - start
-                tier_ctrl = base + ((off >> mapper._bank_shift) & mapper._chan_mask)
-                tier_bank = (off >> mapper._row_shift) & mapper._bank_mask
-                tier_row = off >> mapper._chan_shift
-                if ctrl_col is None:
-                    ctrl_col, bank_col, row_col = tier_ctrl, tier_bank, tier_row
-                else:
-                    here = addresses < end
-                    ctrl_col = _np.where(here, tier_ctrl, ctrl_col)
-                    bank_col = _np.where(here, tier_bank, bank_col)
-                    row_col = _np.where(here, tier_row, row_col)
-            ctrls = ctrl_col.tolist()
-            banks = bank_col.tolist()
-            rows = row_col.tolist()
-        else:
-            last = table[-1]
-            ctrls, banks, rows = [], [], []
-            for address in packed.addresses:
-                entry = last
-                for row in table:
-                    if address < row[1]:
-                        entry = row
-                        break
-                start, _, base, mapper = entry
-                channel, bank, row_id = mapper.fast_decode(address - start)
-                ctrls.append(base + channel)
-                banks.append(bank)
-                rows.append(row_id)
+        ctrl_col = bank_col = row_col = None
+        # Walk the table last tier first: the final tier is the
+        # unconditional branch (the old else-arm), earlier tiers
+        # overlay it under their `address < end` condition.
+        for start, end, base, mapper in reversed(table):
+            off = addresses - start
+            tier_ctrl = base + ((off >> mapper._bank_shift) & mapper._chan_mask)
+            tier_bank = (off >> mapper._row_shift) & mapper._bank_mask
+            tier_row = off >> mapper._chan_shift
+            if ctrl_col is None:
+                ctrl_col, bank_col, row_col = tier_ctrl, tier_bank, tier_row
+            else:
+                here = addresses < end
+                ctrl_col = _np.where(here, tier_ctrl, ctrl_col)
+                bank_col = _np.where(here, tier_bank, bank_col)
+                row_col = _np.where(here, tier_row, row_col)
+        ctrls = ctrl_col.tolist()
+        banks = bank_col.tolist()
+        rows = row_col.tolist()
         plane = (ctrls, banks, rows)
         packed.planes[key] = plane
     return plane
@@ -253,20 +224,12 @@ def _mempod_pod_plane(packed, manager):
         fast_cpp = manager._fast_cpp
         slow_chan = manager._slow_chan
         slow_cpp = manager._slow_cpp
-        if _np is not None:
-            page_col = _np.asarray(pages, dtype=_np.int64)
-            plane = _np.where(
-                page_col < fast_pages,
-                ((page_col // ppr) % fast_chan) // fast_cpp,
-                (((page_col - fast_pages) // ppr) % slow_chan) // slow_cpp,
-            ).tolist()
-        else:
-            plane = [
-                ((page // ppr) % fast_chan) // fast_cpp
-                if page < fast_pages
-                else (((page - fast_pages) // ppr) % slow_chan) // slow_cpp
-                for page in pages
-            ]
+        page_col = _np.asarray(pages, dtype=_np.int64)
+        plane = _np.where(
+            page_col < fast_pages,
+            ((page_col // ppr) % fast_chan) // fast_cpp,
+            (((page_col - fast_pages) // ppr) % slow_chan) // slow_cpp,
+        ).tolist()
         packed.planes[key] = plane
     return plane
 
@@ -279,16 +242,10 @@ def _thm_segment_plane(packed, manager):
     plane = packed.planes.get(key)
     if plane is None:
         pages = packed.pages(shift)
-        if _np is not None:
-            page_col = _np.asarray(pages, dtype=_np.int64)
-            plane = _np.where(
-                page_col < fast_pages, page_col, (page_col - fast_pages) % fast_pages
-            ).tolist()
-        else:
-            plane = [
-                page if page < fast_pages else (page - fast_pages) % fast_pages
-                for page in pages
-            ]
+        page_col = _np.asarray(pages, dtype=_np.int64)
+        plane = _np.where(
+            page_col < fast_pages, page_col, (page_col - fast_pages) % fast_pages
+        ).tolist()
         packed.planes[key] = plane
     return plane
 
@@ -302,14 +259,14 @@ def _hybrid_controllers(memory):
 #
 # A mapped trace's columns live on disk; memoising trace-length decode
 # planes on it would defeat the point.  These helpers package the exact
-# numpy decode formulas of _single_plane/_hybrid_plane as per-window
+# decode formulas of _single_plane/_hybrid_plane as per-window
 # callables for PackedTrace.chunk_groups_streamed, so the direct kernels
 # decode one bounded window at a time.
 
 
 def _single_decode_np(device):
     """Windowed (ctrl, bank, row) decoder for a single-device memory —
-    the same formulas as :func:`_single_plane`'s numpy leg."""
+    the same formulas as :func:`_single_plane`."""
     mapper = device.mapper
     row_shift = mapper._row_shift
     bank_shift = mapper._bank_shift
@@ -329,7 +286,7 @@ def _single_decode_np(device):
 
 def _hybrid_decode_np(memory):
     """Windowed (ctrl, bank, row) decoder for a tiered memory — the
-    same tier-table walk as :func:`_hybrid_plane`'s numpy leg (flat
+    same tier-table walk as :func:`_hybrid_plane` (flat
     controller indices, tier 0's channels first)."""
     table = _tier_table(memory)
     where = _np.where
@@ -676,8 +633,8 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
 
     total = packed.length
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    remap_np = None  # sorted (pages, frames) snapshot; None -> rebuild
-    blocked_np = None  # sorted (pages, untils) snapshot; None -> rebuild
+    remap_snap = None  # sorted (pages, frames) snapshot; None -> rebuild
+    blocked_snap = None  # sorted (pages, untils) snapshot; None -> rebuild
     last_ps = 0
     offset = 0
     pos = 0
@@ -697,17 +654,17 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
                 if queue and queue[0][0] < event:
                     event = queue[0][0]
                 cut = cut_at(event - offset, i, end)
-                if cut > i and remap_np is None:
+                if cut > i and remap_snap is None:
                     rpages_l, rframes_l = manager.remap_columns()
                     remap_get = dict(zip(rpages_l, rframes_l)).get
-                    remap_np = (
+                    remap_snap = (
                         asarray(rpages_l, dtype=int64),
                         asarray(rframes_l, dtype=int64),
                     )
                 if i < cut <= i + _SCALAR_SLICE:
                     # -- short event-free slice: per-record replay is
                     # cheaper than the column set-up --------------------
-                    checked = len(blocked) if blocked_np is not None else -1
+                    checked = len(blocked) if blocked_snap is not None else -1
                     for k in range(i, cut):
                         arrival = arrivals[k] + offset
                         page = pages_l[k]
@@ -744,7 +701,7 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
                         if kd is not None:
                             kd.append(demand)
                     if checked >= 0 and len(blocked) != checked:
-                        blocked_np = None
+                        blocked_snap = None
                     i = cut
                 elif cut > i:
                     # -- event-free slice [i, cut) ----------------------
@@ -755,13 +712,13 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
                     acct = None
                     if blocked or expiry:
                         if blocked:
-                            if blocked_np is None:
+                            if blocked_snap is None:
                                 bpages, buntils = manager.blocked_columns()
-                                blocked_np = (
+                                blocked_snap = (
                                     asarray(bpages, dtype=int64),
                                     asarray(buntils, dtype=int64),
                                 )
-                            bpages, buntils = blocked_np
+                            bpages, buntils = blocked_snap
                             bidx = searchsorted(bpages, pg)
                             _np.minimum(bidx, len(bpages) - 1, out=bidx)
                             bhit = bpages[bidx] == pg
@@ -776,8 +733,8 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
                         size = len(blocked)
                         prune_blocked(arrivals[cut - 1] + offset)
                         if len(blocked) != size:
-                            blocked_np = None
-                    rpages, rframes = remap_np
+                            blocked_snap = None
+                    rpages, rframes = remap_snap
                     translated = None
                     if len(rpages):
                         ridx = searchsorted(rpages, pg)
@@ -859,8 +816,8 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
                         run_boundary(next_boundary)
                         next_boundary += interval
                     engine.swap_sink = swap_sink
-                    remap_np = None
-                    blocked_np = None
+                    remap_snap = None
+                    blocked_snap = None
                 if queue and queue[0][0] <= arrival:
                     # Due swaps merge into the buffered demand columns
                     # through the swap sink: every buffered element
@@ -870,8 +827,8 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
                     # enqueue order — a swap no longer ejects a chunk's
                     # deferred demand from the batched path.
                     issue_swaps(arrival)
-                    remap_np = None
-                    blocked_np = None
+                    remap_snap = None
+                    blocked_snap = None
             flush_all()
             last_ps = arrivals[end - 1] + offset
             if end - pos == sample:
@@ -897,63 +854,16 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
     return collect_result(manager, trace, end_ps)
 
 
-def _swap_merged_rows(ctrls, buffers):
-    """Tuple-row twin of :func:`_swap_merged_buffers` for the pure
-    kernels: a ``MigrationEngine.swap_sink`` that merges one swap's
-    per-controller transaction pattern into the dict-of-rows buffers
-    (``(bank, row, is_write, arrival, account, kind)`` per row) the
-    per-record twins accumulate demand in.  The same exactness argument
-    applies: swaps are only issued once due at or before the current
-    record's arrival, and every buffered row arrived strictly before
-    that, so appending *is* the reference per-controller enqueue order.
-    """
-    ctrl_index = {id(ctrl): ci for ci, ctrl in enumerate(ctrls)}
-    migration = MIGRATION
-
-    def sink(ctrl_a, bank_a, row_a, ctrl_b, bank_b, row_b, at_ps, write_ps, lines):
-        ca = ctrl_index[id(ctrl_a)]
-        cb = ctrl_index[id(ctrl_b)]
-        if ca == cb:
-            # Interleaved a/b pattern on the one shared controller:
-            # 2*lines reads, then 2*lines writes (cf. swap_pages).
-            buffered = buffers.get(ca)
-            if buffered is None:
-                buffers[ca] = buffered = []
-            append = buffered.append
-            for _ in range(lines):
-                append((bank_a, row_a, False, at_ps, at_ps, migration))
-                append((bank_b, row_b, False, at_ps, at_ps, migration))
-            for _ in range(lines):
-                append((bank_a, row_a, True, write_ps, write_ps, migration))
-                append((bank_b, row_b, True, write_ps, write_ps, migration))
-        else:
-            for ci, bank, row in ((ca, bank_a, row_a), (cb, bank_b, row_b)):
-                buffered = buffers.get(ci)
-                if buffered is None:
-                    buffers[ci] = buffered = []
-                buffered.extend(
-                    [(bank, row, False, at_ps, at_ps, migration)] * lines
-                )
-                buffered.extend(
-                    [(bank, row, True, write_ps, write_ps, migration)] * lines
-                )
-
-    return sink
-
-
 def _replay_mempod(trace, packed, manager, throttle_cap_ps):
     """MemPod without a metadata cache: boundary ticks, paced swaps,
     per-pod MEA recording and remap lookup, block penalties.
 
-    With numpy the columnar interval engine replays whole event-free
-    slices at once (see :func:`_columnar_interval_replay`); the MEA
-    updates deferred across a slice flush through
+    The columnar interval engine replays whole event-free slices at
+    once (see :func:`_columnar_interval_replay`); the MEA updates
+    deferred across a slice flush through
     :meth:`~repro.tracking.mea.MeaTracker.record_batch` per pod, each
-    pod seeing exactly its own page subsequence in order.  Without
-    numpy the pure twin below walks the records one by one.
+    pod seeing exactly its own page subsequence in order.
     """
-    if _np is None or packed.np_addresses() is None:
-        return _replay_mempod_pure(trace, packed, manager, throttle_cap_ps)
     shift = manager._page_shift
     (page_col,) = packed.np_columns(("pages", shift), (packed.pages(shift),))
     record_batches = [pod.mea.record_batch for pod in manager.pods]
@@ -1008,154 +918,16 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
     )
 
 
-def _replay_mempod_pure(trace, packed, manager, throttle_cap_ps):
-    """Per-record twin of the MemPod kernel (the no-numpy leg).
-
-    The manager-side work stays per record, but the DRAM side batches:
-    each record's decoded transaction is appended to a per-controller
-    column buffer, flushed through ``enqueue_batch`` at every chunk end
-    and — to preserve the reference's per-controller enqueue order —
-    right before an interval boundary.  A due swap no longer flushes:
-    its transaction pattern *merges* into the buffered columns through
-    the engine's swap sink.  Remapped frames decode inline through the mappers instead
-    of ``memory.access``: remap tables only ever hold in-range frames,
-    so the routing is identical and the bounds check is vacuous.
-    """
-    memory = manager.memory
-    ctrls = _hybrid_controllers(memory)
-    batch = [ctrl.enqueue_batch for ctrl in ctrls]
-    peak_bus = memory.peak_bus_free_ps
-    plane_ctrl, plane_bank, plane_row = _hybrid_plane(packed, memory)
-    pages = packed.pages(manager._page_shift)
-    pod_ids = _mempod_pod_plane(packed, manager)
-    observe = [pod.mea.record for pod in manager.pods]
-    forward_get = [pod.remap._forward.get for pod in manager.pods]
-    block_penalty = manager._block_penalty_ps
-    blocked = manager._blocked
-    expiry = manager._blocked_expiry
-    queue = manager._swap_queue
-    issue_swaps = manager._issue_due_swaps
-    run_boundary = manager._run_boundary
-    interval = manager.interval_ps
-    next_boundary = manager._next_boundary_ps
-    page_shift = manager._page_shift
-    page_mask = manager._page_mask
-    fast_bytes = memory.geometry.fast_bytes
-    fast_decode = memory.fast.mapper.fast_decode
-    slow_decode = memory.slow.mapper.fast_decode
-    fast_channels = memory.fast.channels
-    demand = DEMAND
-    buffers: dict = {}
-    buffer_get = buffers.get
-
-    def flush_buffers():
-        for bi, buffered in buffers.items():
-            (bank_col, row_col, write_col, arrival_col, account_col,
-             kind_col) = zip(*buffered)
-            batch[bi](
-                bank_col, row_col, write_col, arrival_col, account_col,
-                demand, kind_col,
-            )
-        buffers.clear()
-
-    arrivals = packed.arrivals
-    records = zip(
-        arrivals, packed.is_writes, packed.addresses, pages, pod_ids,
-        plane_ctrl, plane_bank, plane_row,
-    )
-    total = packed.length
-    last_ps = 0
-    offset = 0
-    pos = 0
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    engine = manager.engine
-    # hoists: engine.batch_swaps, engine.swap_sink
-    swap_sink = _swap_merged_rows(ctrls, buffers)
-    engine.batch_swaps = True
-    engine.swap_sink = swap_sink
-    try:
-        while pos < total:
-            end = pos + sample if sample else total
-            if end > total:
-                end = total
-            for arrival, is_write, address, page, pod_id, ci, bank, row in islice(
-                records, end - pos
-            ):
-                arrival += offset
-                if arrival >= next_boundary:
-                    # Boundaries service controllers directly (and may
-                    # issue their own swaps), so deferred demand must
-                    # reach the controllers first and the sink must not
-                    # capture the boundary's migration traffic.
-                    if buffers:
-                        flush_buffers()
-                    engine.swap_sink = None
-                    while arrival >= next_boundary:
-                        run_boundary(next_boundary)
-                        next_boundary += interval
-                    engine.swap_sink = swap_sink
-                if queue and queue[0][0] <= arrival:
-                    # Due swaps merge into the buffered columns through
-                    # the sink; per-controller enqueue order is the
-                    # reference's because every buffered demand arrival
-                    # precedes the swap's issue time.
-                    issue_swaps(arrival)
-                observe[pod_id](page)
-                if blocked or expiry:
-                    penalty = block_penalty(page, arrival)
-                else:
-                    penalty = 0
-                frame = forward_get[pod_id](page)
-                if frame is not None:
-                    translated = (frame << page_shift) | (address & page_mask)
-                    if translated < fast_bytes:
-                        ci, bank, row = fast_decode(translated)
-                    else:
-                        ci, bank, row = slow_decode(translated - fast_bytes)
-                        ci += fast_channels
-                buffered = buffer_get(ci)
-                if buffered is None:
-                    buffers[ci] = [
-                        (bank, row, is_write, arrival, arrival - penalty, demand)
-                    ]
-                else:
-                    buffered.append(
-                        (bank, row, is_write, arrival, arrival - penalty, demand)
-                    )
-            if buffers:
-                flush_buffers()
-            last_ps = arrivals[end - 1] + offset
-            if end - pos == sample:
-                backlog = peak_bus() - last_ps
-                if backlog > throttle_cap_ps:
-                    offset += backlog - throttle_cap_ps
-            pos = end
-        # Buffers are empty here (every chunk ends in a flush), so
-        # finish() — which issues the still-queued swaps directly and
-        # flushes the memory — runs against reference-order controllers.
-        engine.swap_sink = None
-        end_ps = manager.finish(last_ps)
-    finally:
-        # State write-back must survive a mid-chunk exception: a stale
-        # boundary cursor would double-run boundaries on the next replay.
-        engine.batch_swaps = False
-        engine.swap_sink = None
-        manager._next_boundary_ps = next_boundary
-    return collect_result(manager, trace, end_ps)
-
-
 def _replay_hma(trace, packed, manager, throttle_cap_ps):
     """HMA without a counter cache: epoch ticks, paced swaps, full-counter
     recording, page-table lookup, block penalties.
 
-    With numpy the columnar interval engine replays whole event-free
-    slices (see :func:`_columnar_interval_replay`); the full-counter
-    updates deferred across a slice flush through one
+    The columnar interval engine replays whole event-free slices (see
+    :func:`_columnar_interval_replay`); the full-counter updates
+    deferred across a slice flush through one
     :meth:`~repro.tracking.full_counters.FullCountersTracker.record_batch`
-    call per epoch.  Without numpy the pure twin walks the records.
+    call per epoch.
     """
-    if _np is None or packed.np_addresses() is None:
-        return _replay_hma_pure(trace, packed, manager, throttle_cap_ps)
     shift = manager._page_shift
     (page_col,) = packed.np_columns(("pages", shift), (packed.pages(shift),))
     record_batch = manager.tracker.record_batch
@@ -1167,132 +939,6 @@ def _replay_hma(trace, packed, manager, throttle_cap_ps):
     return _columnar_interval_replay(
         trace, packed, manager, throttle_cap_ps, flush_trackers
     )
-
-
-def _replay_hma_pure(trace, packed, manager, throttle_cap_ps):
-    """Per-record twin of the HMA kernel (the no-numpy leg).
-
-    Batches the DRAM side exactly like :func:`_replay_mempod_pure`:
-    per-controller column buffers flushed at chunk ends and before
-    epoch work (``_run_boundary`` may ``block_until`` the whole machine
-    in stall mode, so deferred demand must land first); paced due swaps
-    merge into the buffered columns through the engine's swap sink.
-    """
-    memory = manager.memory
-    ctrls = _hybrid_controllers(memory)
-    batch = [ctrl.enqueue_batch for ctrl in ctrls]
-    peak_bus = memory.peak_bus_free_ps
-    plane_ctrl, plane_bank, plane_row = _hybrid_plane(packed, memory)
-    pages = packed.pages(manager._page_shift)
-    record = manager.tracker.record
-    location_get = manager._location.get
-    block_penalty = manager._block_penalty_ps
-    blocked = manager._blocked
-    expiry = manager._blocked_expiry
-    queue = manager._swap_queue
-    issue_swaps = manager._issue_due_swaps
-    run_epoch = manager._run_boundary
-    interval = manager.interval_ps
-    next_boundary = manager._next_boundary_ps
-    page_shift = manager._page_shift
-    page_mask = manager._page_mask
-    fast_bytes = memory.geometry.fast_bytes
-    fast_decode = memory.fast.mapper.fast_decode
-    slow_decode = memory.slow.mapper.fast_decode
-    fast_channels = memory.fast.channels
-    demand = DEMAND
-    buffers: dict = {}
-    buffer_get = buffers.get
-
-    def flush_buffers():
-        for bi, buffered in buffers.items():
-            (bank_col, row_col, write_col, arrival_col, account_col,
-             kind_col) = zip(*buffered)
-            batch[bi](
-                bank_col, row_col, write_col, arrival_col, account_col,
-                demand, kind_col,
-            )
-        buffers.clear()
-
-    arrivals = packed.arrivals
-    records = zip(
-        arrivals, packed.is_writes, packed.addresses, pages,
-        plane_ctrl, plane_bank, plane_row,
-    )
-    total = packed.length
-    last_ps = 0
-    offset = 0
-    pos = 0
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    engine = manager.engine
-    # hoists: engine.batch_swaps, engine.swap_sink
-    swap_sink = _swap_merged_rows(ctrls, buffers)
-    engine.batch_swaps = True
-    engine.swap_sink = swap_sink
-    try:
-        while pos < total:
-            end = pos + sample if sample else total
-            if end > total:
-                end = total
-            for arrival, is_write, address, page, ci, bank, row in islice(
-                records, end - pos
-            ):
-                arrival += offset
-                if arrival >= next_boundary:
-                    # Epochs may block_until the whole machine in stall
-                    # mode, so deferred demand lands first and the sink
-                    # stays out of the epoch's own swap issues.
-                    if buffers:
-                        flush_buffers()
-                    engine.swap_sink = None
-                    while arrival >= next_boundary:
-                        run_epoch(next_boundary)
-                        next_boundary += interval
-                    engine.swap_sink = swap_sink
-                if queue and queue[0][0] <= arrival:
-                    # Paced due swaps merge into the buffered columns
-                    # through the sink (reference per-controller order:
-                    # buffered demand arrivals precede the issue time).
-                    issue_swaps(arrival)
-                record(page)
-                if blocked or expiry:
-                    penalty = block_penalty(page, arrival)
-                else:
-                    penalty = 0
-                frame = location_get(page)
-                if frame is not None:
-                    translated = (frame << page_shift) | (address & page_mask)
-                    if translated < fast_bytes:
-                        ci, bank, row = fast_decode(translated)
-                    else:
-                        ci, bank, row = slow_decode(translated - fast_bytes)
-                        ci += fast_channels
-                buffered = buffer_get(ci)
-                if buffered is None:
-                    buffers[ci] = [
-                        (bank, row, is_write, arrival, arrival - penalty, demand)
-                    ]
-                else:
-                    buffered.append(
-                        (bank, row, is_write, arrival, arrival - penalty, demand)
-                    )
-            if buffers:
-                flush_buffers()
-            last_ps = arrivals[end - 1] + offset
-            if end - pos == sample:
-                backlog = peak_bus() - last_ps
-                if backlog > throttle_cap_ps:
-                    offset += backlog - throttle_cap_ps
-            pos = end
-        # Buffers are empty at chunk boundaries; finish() runs direct.
-        engine.swap_sink = None
-        end_ps = manager.finish(last_ps)
-    finally:
-        # Same mid-chunk exception guarantee as the MemPod twin.
-        engine.batch_swaps = False
-        engine.swap_sink = None
-        manager._next_boundary_ps = next_boundary
-    return collect_result(manager, trace, end_ps)
 
 
 def _replay_thm(trace, packed, manager, throttle_cap_ps):
@@ -1317,8 +963,6 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     lands in the batched path's episode engine instead of a scalar
     drain.
     """
-    if _np is None or packed.np_addresses() is None:
-        return _replay_thm_pure(trace, packed, manager, throttle_cap_ps)
     memory = manager.memory
     ctrls = _hybrid_controllers(memory)
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
@@ -1385,8 +1029,8 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
 
     total = packed.length
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    remap_np = None
-    blocked_np = None
+    remap_snap = None
+    blocked_snap = None
     last_ps = 0
     offset = 0
     pos = 0
@@ -1436,13 +1080,13 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
             i = pos
             while i < end:
                 pg = page_col[i:end]
-                if remap_np is None:
+                if remap_snap is None:
                     rpages, rframes = manager.remap_columns()
-                    remap_np = (
+                    remap_snap = (
                         asarray(rpages, dtype=int64),
                         asarray(rframes, dtype=int64),
                     )
-                rpages, rframes = remap_np
+                rpages, rframes = remap_snap
                 frames = pg
                 rhit = None
                 if len(rpages):
@@ -1474,13 +1118,13 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
                     acct = None
                     if blocked or expiry:
                         if blocked:
-                            if blocked_np is None:
+                            if blocked_snap is None:
                                 bpages, buntils = manager.blocked_columns()
-                                blocked_np = (
+                                blocked_snap = (
                                     asarray(bpages, dtype=int64),
                                     asarray(buntils, dtype=int64),
                                 )
-                            bpages, buntils = blocked_np
+                            bpages, buntils = blocked_snap
                             bidx = searchsorted(bpages, pslice)
                             _np.minimum(bidx, len(bpages) - 1, out=bidx)
                             bhit = bpages[bidx] == pslice
@@ -1495,7 +1139,7 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
                         size = len(blocked)
                         prune_blocked(arrivals[cut - 1] + offset)
                         if len(blocked) != size:
-                            blocked_np = None
+                            blocked_snap = None
                     if rhit is not None and rhit[:m].any():
                         translated = (frames[:m] << page_shift) | (
                             addr_col[i:cut] & page_mask
@@ -1566,8 +1210,8 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
                 if blocked or expiry:
                     bsize = len(blocked)
                     penalty = block_penalty(page, arrival)
-                    if blocked_np is not None and len(blocked) != bsize:
-                        blocked_np = None
+                    if blocked_snap is not None and len(blocked) != bsize:
+                        blocked_snap = None
                 else:
                     penalty = 0
                 frame = location_get(page)
@@ -1590,9 +1234,9 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
                         penalty += migrate(segment, challenger, arrival)
                         frame = location_get(page, page)
                         if moved_a is not None:
-                            remap_np = patch_remap(remap_np, moved_a)
-                            remap_np = patch_remap(remap_np, moved_b)
-                            blocked_np = None
+                            remap_snap = patch_remap(remap_snap, moved_a)
+                            remap_snap = patch_remap(remap_snap, moved_b)
+                            blocked_snap = None
                 if frame is None and not mapped:
                     ci = plane_ctrl[i]
                     bank = plane_bank[i]
@@ -1626,139 +1270,6 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
             # The throttle probe reads controller bus cursors, so the
             # deferred columns must land first.
             flush_all()
-            last_ps = arrivals[end - 1] + offset
-            if end - pos == sample:
-                backlog = peak_bus() - last_ps
-                if backlog > throttle_cap_ps:
-                    offset += backlog - throttle_cap_ps
-            pos = end
-        # Buffers are empty at chunk boundaries; finish() runs direct.
-        engine.swap_sink = None
-        end_ps = manager.finish(last_ps)
-    finally:
-        engine.batch_swaps = False
-        engine.swap_sink = None
-    return collect_result(manager, trace, end_ps)
-
-
-def _replay_thm_pure(trace, packed, manager, throttle_cap_ps):
-    """Per-record twin of the THM kernel (the no-numpy leg).
-
-    Batches the DRAM side with per-controller column buffers flushed at
-    chunk ends; an inline migration's swap traffic *merges* into the
-    buffered columns through the engine's swap sink instead of forcing
-    a flush (``_migrate`` never reads controller state, and buffered
-    demand arrivals precede the swap's issue time, so the flushed
-    column replays the reference per-controller enqueue order).
-    """
-    memory = manager.memory
-    ctrls = _hybrid_controllers(memory)
-    batch = [ctrl.enqueue_batch for ctrl in ctrls]
-    peak_bus = memory.peak_bus_free_ps
-    plane_ctrl, plane_bank, plane_row = _hybrid_plane(packed, memory)
-    pages = packed.pages(manager._page_shift)
-    segments = _thm_segment_plane(packed, manager)
-    access_resident = manager.counters.access_resident
-    access_challenger = manager.counters.access_challenger
-    migrate = manager._migrate
-    location_get = manager._location.get
-    block_penalty = manager._block_penalty_ps
-    blocked = manager._blocked
-    expiry = manager._blocked_expiry
-    fast_pages = manager.geometry.fast_pages
-    page_shift = manager._page_shift
-    page_mask = manager._page_mask
-    fast_bytes = memory.geometry.fast_bytes
-    fast_decode = memory.fast.mapper.fast_decode
-    slow_decode = memory.slow.mapper.fast_decode
-    fast_channels = memory.fast.channels
-    demand = DEMAND
-    buffers: dict = {}
-    buffer_get = buffers.get
-
-    def flush_buffers():
-        for bi, buffered in buffers.items():
-            (bank_col, row_col, write_col, arrival_col, account_col,
-             kind_col) = zip(*buffered)
-            batch[bi](
-                bank_col, row_col, write_col, arrival_col, account_col,
-                demand, kind_col,
-            )
-        buffers.clear()
-
-    arrivals = packed.arrivals
-    records = zip(
-        arrivals, packed.is_writes, packed.addresses, pages, segments,
-        plane_ctrl, plane_bank, plane_row,
-    )
-    total = packed.length
-    last_ps = 0
-    offset = 0
-    pos = 0
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    engine = manager.engine
-    # hoists: engine.batch_swaps, engine.swap_sink
-    swap_sink = _swap_merged_rows(ctrls, buffers)
-    engine.batch_swaps = True
-    engine.swap_sink = swap_sink
-    try:
-        while pos < total:
-            end = pos + sample if sample else total
-            if end > total:
-                end = total
-            for arrival, is_write, address, page, segment, ci, bank, row in islice(
-                records, end - pos
-            ):
-                arrival += offset
-                if blocked or expiry:
-                    penalty = block_penalty(page, arrival)
-                else:
-                    penalty = 0
-                frame = location_get(page)
-                if frame is None:
-                    # Identity mapping: the decode plane is exact, and a
-                    # fast-resident page only defends its counter.
-                    if page < fast_pages:
-                        access_resident(segment)
-                    else:
-                        challenger = access_challenger(segment, page)
-                        if challenger is not None:
-                            # The swap traffic merges into the buffered
-                            # columns through the sink; _migrate itself
-                            # never reads controller state, so deferred
-                            # demand need not land first.
-                            penalty += migrate(segment, challenger, arrival)
-                            frame = location_get(page, page)
-                else:
-                    if frame < fast_pages:
-                        access_resident(segment)
-                    else:
-                        challenger = access_challenger(segment, page)
-                        if challenger is not None:
-                            # The swap traffic merges into the buffered
-                            # columns through the sink; _migrate itself
-                            # never reads controller state, so deferred
-                            # demand need not land first.
-                            penalty += migrate(segment, challenger, arrival)
-                            frame = location_get(page, page)
-                if frame is not None:
-                    translated = (frame << page_shift) | (address & page_mask)
-                    if translated < fast_bytes:
-                        ci, bank, row = fast_decode(translated)
-                    else:
-                        ci, bank, row = slow_decode(translated - fast_bytes)
-                        ci += fast_channels
-                buffered = buffer_get(ci)
-                if buffered is None:
-                    buffers[ci] = [
-                        (bank, row, is_write, arrival, arrival - penalty, demand)
-                    ]
-                else:
-                    buffered.append(
-                        (bank, row, is_write, arrival, arrival - penalty, demand)
-                    )
-            if buffers:
-                flush_buffers()
             last_ps = arrivals[end - 1] + offset
             if end - pos == sample:
                 backlog = peak_bus() - last_ps
@@ -1916,8 +1427,7 @@ def select_kernel(manager) -> "tuple":
     * ``fallback:novel-shape:<trigger>x<flexibility>`` — a shape no
       specialised loop exists for.
     """
-    tiers = getattr(manager.memory, "tiers", None)
-    if tiers is not None and len(tiers) > 2:
+    if len(manager.memory.tiers) > 2:
         return None, "fallback:multi-tier"
     manager_type = type(manager)
     trigger = getattr(manager, "trigger", "none")

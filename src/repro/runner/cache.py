@@ -12,7 +12,8 @@ the old entry is simply never looked up again.  The code-version token
 is a digest over every ``.py`` file in the :mod:`repro` package, so
 editing any source file cold-starts the cache rather than serving
 results computed by different code.  Corrupt or truncated entries read
-as misses.
+as misses, counted apart from absent ones so the CLI summary can name
+them.
 """
 
 from __future__ import annotations
@@ -89,18 +90,28 @@ class ResultCache:
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
+        #: entries that existed but could not be read back (recomputed)
+        self.corrupt_entries = 0
 
     def path_for(self, key: str) -> Path:
         """Where entry ``key`` lives (two-level fan-out keeps dirs small)."""
         return self.root / key[:2] / f"{key[2:]}.json"
 
     def load(self, key: str) -> Optional[CacheableResult]:
-        """Rehydrate the stored result, or ``None`` on any kind of miss."""
+        """Rehydrate the stored result, or ``None`` on any kind of miss.
+
+        An entry that exists but cannot be read back (truncated,
+        garbage, foreign schema) is a miss too, and is counted in
+        :attr:`corrupt_entries`.
+        """
         try:
             payload = json.loads(self.path_for(key).read_text(encoding="utf-8"))
             cls = RESULT_TYPES[payload["type"]]
             return cls(**payload["result"])
+        except FileNotFoundError:
+            return None
         except (OSError, ValueError, KeyError, TypeError):
+            self.corrupt_entries += 1
             return None
 
     def store(self, key: str, result: CacheableResult) -> None:

@@ -135,22 +135,14 @@ def report_for(manager, params: EnergyParams = EnergyParams()) -> EnergyReport:
     from ..dram.request import DEMAND
 
     model = EnergyModel(manager.geometry, params)
-    memory = manager.memory
-    tiers = getattr(memory, "tiers", None)
-    if tiers is not None and len(tiers) >= 2:
-        # Tier 0 carries the fast constant; every deeper tier is
-        # off-package commodity/PCM-class and charged the slow constant.
-        fast_served = tiers[0].merged_stats().count_by_kind.get(DEMAND, 0)
-        slow_served = sum(
-            tier.merged_stats().count_by_kind.get(DEMAND, 0)
-            for tier in tiers[1:]
-        )
-    elif hasattr(memory, "fast"):
-        fast_served = memory.fast.merged_stats().count_by_kind[DEMAND]
-        slow_served = memory.slow.merged_stats().count_by_kind[DEMAND]
-    else:
-        fast_served = memory.merged_stats().count_by_kind[DEMAND]
-        slow_served = 0
+    tiers = manager.memory.tiers
+    # Tier 0 carries the fast constant; every deeper tier is
+    # off-package commodity/PCM-class and charged the slow constant (a
+    # single-level system has none).
+    fast_served = tiers[0].merged_stats().count_by_kind.get(DEMAND, 0)
+    slow_served = sum(
+        tier.merged_stats().count_by_kind.get(DEMAND, 0) for tier in tiers[1:]
+    )
     stats = manager.migration_stats
     pod_local = bool(stats.swaps_by_pod)
     return model.report(

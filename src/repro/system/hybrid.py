@@ -125,10 +125,6 @@ class TieredMemory:
         return address < self._tier_ends[0]
 
     # -- two-/one-tier aliases ------------------------------------------------
-    # Properties, so `hasattr(memory, "fast")` is False on single-level
-    # systems and `hasattr(memory, "device")` is False on multi-tier
-    # ones — exactly the discrimination the stats/energy/sanitizer
-    # layers relied on when these were plain attributes.
 
     @property
     def fast(self) -> MemoryDevice:

@@ -14,10 +14,8 @@ Three formats:
 All formats round-trip exactly; each binary header carries a magic, a
 version, the page size, and the record count so truncated or foreign
 files fail loudly instead of decoding garbage.  Encode/decode paths are
-vectorised through numpy when it is available and fall back to
-pure-Python struct/array twins otherwise — the twins are registered in
-the twin manifest and proven byte-identical by tests/test_trace_io.py
-and tests/test_trace_store.py.
+vectorised through numpy; tests/test_trace_io.py and
+tests/test_trace_store.py pin their output against hand-packed bytes.
 
 v2 columnar format, byte for byte
 ---------------------------------
@@ -61,22 +59,21 @@ from __future__ import annotations
 
 import io
 import struct
-import sys
-from array import array
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
+
+import numpy as _np
 
 from ..common.errors import TraceError
 from .record import Trace
 
-try:  # optional accelerator; every codec below has a pure-Python twin
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
 MAGIC = b"MPTRACE1"
 _HEADER = struct.Struct("<8sIQQ")  # magic, version, page_bytes, record count
 _RECORD = struct.Struct("<qqBB")  # arrival_ps, address, is_write, core(+1)
+#: the same record layout as a packed numpy structured dtype
+_RECORD_DTYPE = _np.dtype(
+    [("arrival", "<i8"), ("address", "<i8"), ("w", "u1"), ("core", "u1")]
+)
 VERSION = 1
 
 # -- v2 columnar constants (see the format spec in the module docstring) --
@@ -91,64 +88,35 @@ _PLANE_DTYPE = b"<i8"
 _HEADER2 = struct.Struct("<8sIIQQq")  # magic, version, planes, page_bytes, count, max_address
 _PLANE_DIR = struct.Struct("<8s4sI")  # name, dtype code, reserved
 _DATA_OFFSET = 1024
-#: pure-reader block size, in records (a whole number of chunks)
-_PURE_READ_RECORDS = 512 * CHUNK_RECORDS
 
 PathLike = Union[str, Path]
 
 
 def _encode_records_v1(records: Sequence[Tuple[int, int, int, int]]) -> bytes:
-    """The v1 record section for ``records`` (cores stored +1).
-
-    Fused twin: one numpy leg building the packed structured array in
-    four column assignments, one pure struct-pack loop — byte-identical
-    by the round-trip suite.
-    """
-    if _np is not None:
-        dt = _np.dtype(
-            [("arrival", "<i8"), ("address", "<i8"), ("w", "u1"), ("core", "u1")]
-        )
-        out = _np.empty(len(records), dtype=dt)
-        if records:
-            arrivals, addresses, is_writes, cores = zip(*records)
-            out["arrival"] = arrivals
-            out["address"] = addresses
-            out["w"] = is_writes
-            out["core"] = _np.asarray(cores, dtype=_np.int64) + 1
-        return out.tobytes()
-    pack = _RECORD.pack
-    return b"".join(
-        pack(arrival, address, is_write, core + 1)
-        for arrival, address, is_write, core in records
-    )
+    """The v1 record section for ``records`` (cores stored +1), built
+    as a packed structured array in four column assignments."""
+    out = _np.empty(len(records), dtype=_RECORD_DTYPE)
+    if records:
+        arrivals, addresses, is_writes, cores = zip(*records)
+        out["arrival"] = arrivals
+        out["address"] = addresses
+        out["w"] = is_writes
+        out["core"] = _np.asarray(cores, dtype=_np.int64) + 1
+    return out.tobytes()
 
 
 def _decode_records_v1(raw: bytes, offset: int, count: int) -> List[Tuple[int, int, int, int]]:
-    """The record list encoded at ``raw[offset:]`` (cores stored +1).
-
-    Fused twin of :func:`_encode_records_v1`: numpy ``frombuffer`` over
-    the packed structured dtype, or the per-record struct-unpack loop.
-    """
-    if _np is not None:
-        dt = _np.dtype(
-            [("arrival", "<i8"), ("address", "<i8"), ("w", "u1"), ("core", "u1")]
+    """The record list encoded at ``raw[offset:]`` (cores stored +1):
+    ``frombuffer`` over the packed structured dtype."""
+    arr = _np.frombuffer(raw, dtype=_RECORD_DTYPE, count=count, offset=offset)
+    return list(
+        zip(
+            arr["arrival"].tolist(),
+            arr["address"].tolist(),
+            arr["w"].tolist(),
+            (arr["core"].astype(_np.int64) - 1).tolist(),
         )
-        arr = _np.frombuffer(raw, dtype=dt, count=count, offset=offset)
-        return list(
-            zip(
-                arr["arrival"].tolist(),
-                arr["address"].tolist(),
-                arr["w"].tolist(),
-                (arr["core"].astype(_np.int64) - 1).tolist(),
-            )
-        )
-    records: List[Tuple[int, int, int, int]] = []
-    unpack = _RECORD.unpack_from
-    for _ in range(count):
-        arrival, address, is_write, core = unpack(raw, offset)
-        records.append((arrival, address, is_write, core - 1))
-        offset += _RECORD.size
-    return records
+    )
 
 
 def save_binary(trace: Trace, path: PathLike) -> None:
@@ -264,26 +232,13 @@ def columnar_size(count: int) -> int:
 
 
 def _encode_plane(column: Sequence[int], count: int) -> bytes:
-    """One zero-padded little-endian int64 plane for ``column``.
-
-    Fused twin: numpy builds the padded array in one assignment; the
-    pure leg goes through ``array('q')`` (byte-swapped on big-endian
-    hosts, so the disk bytes are little-endian everywhere).
-    """
-    stride = _padded_count(count)
-    if _np is not None:
-        out = _np.zeros(stride, dtype="<i8")
-        # Unwrap PackedTrace's _IntColumn wrapper (``.array``) so mapped
-        # traces re-encode zero-copy instead of element-wise.
-        out[:count] = _np.asarray(getattr(column, "array", column), dtype=_np.int64)
-        return out.tobytes()
-    plane = array("q", column)
-    if len(plane) < stride:
-        plane.extend([0] * (stride - len(plane)))
-    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts only
-        plane = array("q", plane)
-        plane.byteswap()
-    return plane.tobytes()
+    """One zero-padded little-endian int64 plane for ``column``, built
+    as a padded array in one assignment."""
+    out = _np.zeros(_padded_count(count), dtype="<i8")
+    # Unwrap PackedTrace's _IntColumn wrapper (``.array``) so mapped
+    # traces re-encode zero-copy instead of element-wise.
+    out[:count] = _np.asarray(getattr(column, "array", column), dtype=_np.int64)
+    return out.tobytes()
 
 
 def save_columnar(trace: Trace, path: PathLike) -> None:
@@ -391,41 +346,22 @@ def read_columnar_header(path: PathLike) -> ColumnarInfo:
 def load_columnar_planes(path: PathLike) -> Tuple[ColumnarInfo, Dict[str, Sequence[int]]]:
     """Open a v2 file and return ``(info, plane name -> column)``.
 
-    Fused twin: with numpy every plane is an ``np.memmap`` view (or an
-    empty array when the trace is empty — a zero-length mapping is not
-    representable), so opening is O(1) and the OS pages data in on
-    demand; the pure leg reads each plane chunk-at-a-time through
-    ``array('q')`` into plain lists.  Both legs return columns whose
-    per-element values are exactly the written integers.
+    Every plane is an ``np.memmap`` view (or an empty array when the
+    trace is empty — a zero-length mapping is not representable), so
+    opening is O(1) and the OS pages data in on demand.
     """
     info = read_columnar_header(path)
     count = info.count
     planes: Dict[str, Sequence[int]] = {}
-    if _np is not None:
-        for plane_name in PLANE_NAMES:
-            if count == 0:
-                planes[plane_name] = _np.empty(0, dtype=_np.int64)
-            else:
-                planes[plane_name] = _np.memmap(
-                    info.path,
-                    dtype="<i8",
-                    mode="r",
-                    offset=info.plane_offset(plane_name),
-                    shape=(count,),
-                )
-        return info, planes
-    swap = sys.byteorder != "little"
-    with open(info.path, "rb") as handle:
-        for plane_name in PLANE_NAMES:
-            handle.seek(info.plane_offset(plane_name))
-            column: List[int] = []
-            remaining = count
-            while remaining > 0:
-                block = min(remaining, _PURE_READ_RECORDS)
-                chunk = array("q", handle.read(block * 8))
-                if swap:  # pragma: no cover - big-endian hosts only
-                    chunk.byteswap()
-                column.extend(chunk.tolist())
-                remaining -= block
-            planes[plane_name] = column
+    for plane_name in PLANE_NAMES:
+        if count == 0:
+            planes[plane_name] = _np.empty(0, dtype=_np.int64)
+        else:
+            planes[plane_name] = _np.memmap(
+                info.path,
+                dtype="<i8",
+                mode="r",
+                offset=info.plane_offset(plane_name),
+                shape=(count,),
+            )
     return info, planes

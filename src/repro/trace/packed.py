@@ -11,9 +11,7 @@ plus memoised derived columns:
 * per-memory-layout address decode planes (channel/bank/row), cached in
   :attr:`planes` under a layout key chosen by the kernel.
 
-Derived columns are computed vectorised through numpy when it is
-available and with plain comprehensions otherwise — numpy is an
-accelerator here, never a requirement.
+Derived columns are computed vectorised through numpy.
 
 A packed trace is a *view* of an immutable record list: it is built
 once per :class:`Trace` (see :meth:`Trace.packed`) and assumes the
@@ -38,10 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-try:  # optional accelerator; every path below has a pure-Python twin
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as _np
 
 
 class _IntColumn:
@@ -137,51 +132,35 @@ class PackedTrace:
     ) -> "PackedTrace":
         """Columnar view over the planes of a v2 trace file.
 
-        ``planes`` maps the :data:`repro.trace.io.PLANE_NAMES` to int64
-        columns as returned by
-        :func:`repro.trace.io.load_columnar_planes` — numpy memmaps on
-        the numpy leg, plain lists on the pure leg.  The numpy leg is
-        zero-copy (columns wrapped in :class:`_IntColumn`, the stored
+        ``planes`` maps the :data:`repro.trace.io.PLANE_NAMES` to the
+        int64 numpy columns returned by
+        :func:`repro.trace.io.load_columnar_planes` (memmaps).  The view
+        is zero-copy (columns wrapped in :class:`_IntColumn`, the stored
         page plane registered under ``page_shift``) and flags the trace
         :attr:`mapped` so kernels stream decode work per ``window``
-        records; the pure leg is an ordinary eager packed trace.
-        ``page_shift`` below 0 (non-power-of-two page size) leaves the
-        page memo empty.
+        records.  ``page_shift`` below 0 (non-power-of-two page size)
+        leaves the page memo empty.
         """
         self = object.__new__(cls)
         arrival = planes["arrival"]
         self.length = len(arrival)
         self.max_address = max_address
         self.planes = {}
-        if _np is not None and isinstance(arrival, _np.ndarray):
-            self.arrivals = _IntColumn(arrival)
-            self.addresses = _IntColumn(planes["address"])
-            self.is_writes = _IntColumn(planes["iswrite"])
-            self.cores = _IntColumn(planes["core"])
-            self._np_addresses = planes["address"]
-            self._pages = (
-                {page_shift: _IntColumn(planes["page"])} if page_shift >= 0 else {}
-            )
-            self.mapped = True
-            self.window = window
-        else:
-            self.arrivals = list(planes["arrival"])
-            self.addresses = list(planes["address"])
-            self.is_writes = list(planes["iswrite"])
-            self.cores = list(planes["core"])
-            self._np_addresses = None
-            self._pages = (
-                {page_shift: list(planes["page"])} if page_shift >= 0 else {}
-            )
-            self.mapped = False
-            self.window = None
+        self.arrivals = _IntColumn(arrival)
+        self.addresses = _IntColumn(planes["address"])
+        self.is_writes = _IntColumn(planes["iswrite"])
+        self.cores = _IntColumn(planes["core"])
+        self._np_addresses = planes["address"]
+        self._pages = (
+            {page_shift: _IntColumn(planes["page"])} if page_shift >= 0 else {}
+        )
+        self.mapped = True
+        self.window = window
         return self
 
     def np_addresses(self):
-        """The address column as an int64 numpy array (``None`` without
-        numpy); built once and reused by every plane computation."""
-        if _np is None:
-            return None
+        """The address column as an int64 numpy array; built once and
+        reused by every plane computation."""
         if self._np_addresses is None:
             self._np_addresses = _np.asarray(self.addresses, dtype=_np.int64)
         return self._np_addresses
@@ -197,12 +176,8 @@ class PackedTrace:
         """
         cached = self._pages.get(page_shift)
         if cached is None:
-            addresses = self.np_addresses()
-            if addresses is not None:
-                shifted = addresses >> page_shift
-                cached = _IntColumn(shifted) if self.mapped else shifted.tolist()
-            else:
-                cached = [address >> page_shift for address in self.addresses]
+            shifted = self.np_addresses() >> page_shift
+            cached = _IntColumn(shifted) if self.mapped else shifted.tolist()
             self._pages[page_shift] = cached
         return cached
 
@@ -216,8 +191,7 @@ class PackedTrace:
         column finds where the next boundary or due swap lands, and
         everything before the cut replays as one event-free slice.
         Identical to ``numpy.searchsorted(arrivals[lo:hi], arrival_ps,
-        "left")`` but works on the plain column, so the pure-Python leg
-        shares it.
+        "left")`` but works on the plain column.
         """
         return bisect_left(self.arrivals, arrival_ps, lo, hi)
 
@@ -230,7 +204,6 @@ class PackedTrace:
         once per (trace, layout) keeps that off the per-slice path.
         Columns already backed by arrays (mapped traces hand in
         :class:`_IntColumn` views) pass through zero-copy.
-        Callers must only use this when numpy is available.
         """
         cached = self.planes.get(("np", key))
         if cached is None:
@@ -260,8 +233,7 @@ class PackedTrace:
         ``groups`` is a tuple of ``(ctrl, banks, rows, is_writes,
         arrivals)`` column tuples ordered by controller index.  Memoised
         in :attr:`planes` under ``("chunk-groups", sample, layout_key)``.
-        Grouped through numpy's stable argsort when available; the pure
-        dict-accumulation twin produces identical chunks.
+        Grouped through numpy's stable argsort.
         """
         key = ("chunk-groups", sample, layout_key)
         cached = self.planes.get(key)
@@ -270,63 +242,37 @@ class PackedTrace:
         total = self.length
         step = sample if sample else (total or 1)
         chunks = []
-        if _np is not None:
-            ctrl_col = _as_int64(ctrls)
-            bank_col = _as_int64(banks)
-            row_col = _as_int64(rows)
-            write_col = _as_int64(self.is_writes)
-            arrival_col = _as_int64(self.arrivals)
-            for begin in range(0, total, step):
-                end = begin + step
-                if end > total:
-                    end = total
-                order = _np.argsort(ctrl_col[begin:end], kind="stable") + begin
-                sorted_ctrl = ctrl_col[order]
-                cuts = _np.flatnonzero(sorted_ctrl[1:] != sorted_ctrl[:-1]) + 1
-                bounds = [0, *cuts.tolist(), end - begin]
-                groups = tuple(
-                    (
-                        int(sorted_ctrl[bounds[gi]]),
-                        bank_col[sel].tolist(),
-                        row_col[sel].tolist(),
-                        write_col[sel].tolist(),
-                        arrival_col[sel].tolist(),
-                    )
-                    for gi in range(len(bounds) - 1)
-                    for sel in (order[bounds[gi]:bounds[gi + 1]],)
+        ctrl_col = _as_int64(ctrls)
+        bank_col = _as_int64(banks)
+        row_col = _as_int64(rows)
+        write_col = _as_int64(self.is_writes)
+        arrival_col = _as_int64(self.arrivals)
+        for begin in range(0, total, step):
+            end = begin + step
+            if end > total:
+                end = total
+            order = _np.argsort(ctrl_col[begin:end], kind="stable") + begin
+            sorted_ctrl = ctrl_col[order]
+            cuts = _np.flatnonzero(sorted_ctrl[1:] != sorted_ctrl[:-1]) + 1
+            bounds = [0, *cuts.tolist(), end - begin]
+            groups = tuple(
+                (
+                    int(sorted_ctrl[bounds[gi]]),
+                    bank_col[sel].tolist(),
+                    row_col[sel].tolist(),
+                    write_col[sel].tolist(),
+                    arrival_col[sel].tolist(),
                 )
-                chunks.append((end - begin, groups))
-        else:
-            is_writes = self.is_writes
-            arrivals = self.arrivals
-            for begin in range(0, total, step):
-                end = begin + step
-                if end > total:
-                    end = total
-                index: Dict[int, List[int]] = {}
-                for i in range(begin, end):
-                    members = index.get(ctrls[i])
-                    if members is None:
-                        index[ctrls[i]] = [i]
-                    else:
-                        members.append(i)
-                groups = tuple(
-                    (
-                        ci,
-                        [banks[i] for i in members],
-                        [rows[i] for i in members],
-                        [is_writes[i] for i in members],
-                        [arrivals[i] for i in members],
-                    )
-                    for ci, members in sorted(index.items())
-                )
-                chunks.append((end - begin, groups))
+                for gi in range(len(bounds) - 1)
+                for sel in (order[bounds[gi]:bounds[gi + 1]],)
+            )
+            chunks.append((end - begin, groups))
         self.planes[key] = chunks
         return chunks
 
     def chunk_groups_streamed(self, decode, sample: int, window: int):
         """Windowed generator form of :meth:`chunk_groups` for mapped
-        traces (numpy only — the pure twin is the eager method itself).
+        traces.
 
         Instead of consuming precomputed trace-length decode planes, it
         decodes ``window`` records at a time through ``decode`` (an

@@ -178,32 +178,20 @@ def open_columnar(
 ) -> Trace:
     """Open a v2 columnar trace file for replay.
 
-    With numpy, returns a :class:`MappedTrace` streaming at ``window``
-    records (``REPRO_TRACE_WINDOW`` when not given); without numpy, the
-    pure twin reads the planes chunk-at-a-time into an ordinary eager
-    :class:`Trace` holding the identical records.  Validation already
+    Returns a :class:`MappedTrace` streaming at ``window`` records
+    (``REPRO_TRACE_WINDOW`` when not given).  Validation already
     happened in :func:`~repro.trace.io.read_columnar_header`; the
-    stored columns were validated when written, so neither leg re-runs
-    the O(n) record validation.
+    stored columns were validated when written, so opening does not
+    re-run the O(n) record validation.
     """
     info, planes = load_columnar_planes(path)
-    trace_name = name or Path(path).stem
     packed = PackedTrace.from_planes(
         planes,
         info.max_address,
         info.page_shift,
         window if window is not None else resolve_trace_window(),
     )
-    if packed.mapped:
-        return MappedTrace._wrap(trace_name, info.page_bytes, packed)
-    records: List[TraceRecord] = list(
-        zip(planes["arrival"], planes["address"], planes["iswrite"], planes["core"])
-    )
-    trace = object.__new__(Trace)
-    trace.name = trace_name
-    trace.records = records
-    trace.page_bytes = info.page_bytes
-    return trace
+    return MappedTrace._wrap(name or Path(path).stem, info.page_bytes, packed)
 
 
 class TraceStore:

@@ -18,13 +18,10 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as _np
+
 from ..common.config import require_positive_int
 from .base import ActivityTracker
-
-try:  # optional accelerator; access_batch has a pure-Python twin
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 #: Below this many records the numpy set-up cost exceeds the loop.
 _BATCH_MIN = 32
@@ -100,15 +97,12 @@ class CompetingCounterArray(ActivityTracker):
         (a Lindley recursion: ``c_i = S_i + max(c_0, -min_{k<=i} S_k)``
         over the ±1 prefix sums ``S``) with grouped cumulative sums and
         running minima.  Upper saturation never binds before a trigger
-        when ``threshold <= 2**counter_bits - 1``; otherwise — and
-        without numpy, or for short runs — the pure twin walks the run
-        scalar.
+        when ``threshold <= 2**counter_bits - 1``; otherwise — and for
+        short runs — :meth:`_access_loop` walks the run scalar.
         """
         n = len(segments)
         if n == 0:
             return None
-        if _np is None:
-            return self._access_loop(segments, pages, challenger)
         if self.threshold > self._max_count or n < _BATCH_MIN:
             # Keep stored pages plain ints even for ndarray columns.
             if isinstance(pages, _np.ndarray):
@@ -173,8 +167,8 @@ class CompetingCounterArray(ActivityTracker):
         return None
 
     def _access_loop(self, segments, pages, challenger) -> Optional[int]:
-        """Pure-Python twin of :meth:`access_batch` (also the exact
-        fallback when upper saturation can bind before a trigger)."""
+        """Per-record form of :meth:`access_batch`: short runs, and the
+        exact fallback when upper saturation can bind before a trigger."""
         counts = self._counts
         last = self._last_challenger
         threshold = self.threshold

@@ -12,13 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Sequence
 
+import numpy as _np
+
 from ..common.config import require_positive_int
 from .base import ActivityTracker
-
-try:  # optional accelerator; record_batch has a pure-Python twin
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 #: Below this many records the numpy set-up cost exceeds the loop.
 _BATCH_MIN = 32
@@ -55,15 +52,12 @@ class FullCountersTracker(ActivityTracker):
         Saturating increments commute, so the batch collapses to one
         ``unique``/bincount pass: each touched page ends at
         ``min(max, current + occurrences)`` — identical to the
-        per-record loop's final state.  The pure twin (used without
-        numpy or for short batches) tallies through a local
-        :class:`~collections.Counter` first for the same effect.
+        per-record loop's final state.  Short list batches tally through
+        a local :class:`~collections.Counter` first for the same effect.
         """
         counts = self._counts
         max_count = self._max_count
-        if _np is None or (
-            len(pages) < _BATCH_MIN and not isinstance(pages, _np.ndarray)
-        ):
+        if len(pages) < _BATCH_MIN and not isinstance(pages, _np.ndarray):
             for page, occurrences in Counter(pages).items():
                 current = counts[page]
                 if current < max_count:

@@ -27,22 +27,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+import numpy as _np
+
 from ..common.config import require_positive_int
 from .base import ActivityTracker
 
-try:  # optional accelerator; record_batch has a pure-Python twin
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
 #: Below this many records the numpy set-up cost exceeds the loop it
-#: replaces; fall through to the pure twin.
+#: replaces; fall through to the per-record loop.
 _BATCH_MIN = 32
 
 #: A decrement round forces scalar processing of its arriving record.
 #: When ``_STALL_LIMIT`` consecutive stretches advance fewer than
 #: ``_STALL_PROGRESS`` records each, the per-stretch membership scans
-#: cost more than they save — finish with the pure twin instead.  The
+#: cost more than they save — finish with the per-record loop instead.  The
 #: thresholds are deliberately aggressive: once the table is full,
 #: rounds recur every few records (evictions refill fast under skewed
 #: traffic), and only the long insert stretch right after a reset
@@ -137,14 +134,11 @@ class MeaTracker(ActivityTracker):
         round — which is replayed through :meth:`record` exactly, and
         the segmentation restarts with the post-round table.
 
-        Without numpy (or for short batches) the pure twin runs the
-        per-record semantics with the table and counters hoisted into
-        locals.
+        Short batches (and stalled ones, see ``_STALL_LIMIT``) run
+        :meth:`_record_loop`, the per-record semantics with the table
+        and counters hoisted into locals.
         """
         n = len(pages)
-        if _np is None:
-            self._record_loop(pages)
-            return
         if n < _BATCH_MIN:
             # Too short to amortise the numpy set-up; keep table keys
             # plain ints even when handed an ndarray slice.
@@ -225,7 +219,7 @@ class MeaTracker(ActivityTracker):
                 stalled = 0
 
     def _record_loop(self, pages: Sequence[int]) -> None:
-        """Pure-Python twin of :meth:`record_batch`: the per-record
+        """Per-record form of :meth:`record_batch`: the :meth:`record`
         semantics with every table and counter reference a local."""
         table = self._table
         limit = self._insert_limit

@@ -162,6 +162,18 @@ class TestRunnerFlags:
         assert "hit rate 0%" in cold.err
         assert "hit rate 100%" in warm.err
 
+    def test_corrupt_entry_is_recomputed_and_named(self, capsys, isolated_cache):
+        argv = [*SMALL, "--workloads", "cactus", "--jobs", "1", "fig2"]
+        assert main(list(argv)) == 0
+        cold = capsys.readouterr()
+        assert "corrupt" not in cold.err
+        entry = sorted(isolated_cache.rglob("*.json"))[0]
+        entry.write_bytes(entry.read_bytes()[:40])
+        assert main(list(argv)) == 0
+        rerun = capsys.readouterr()
+        assert rerun.out == cold.out  # stdout stays byte-identical
+        assert ", 1 corrupt cache entries recomputed" in rerun.err
+
     def test_no_cache_bypasses_the_disk(self, capsys, isolated_cache):
         run_cli(capsys, *SMALL, "--workloads", "cactus", "--no-cache", "fig2")
         assert not isolated_cache.exists()

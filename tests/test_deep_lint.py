@@ -8,25 +8,20 @@ finding.
 
 import io
 import json
-from pathlib import Path
-
-import pytest
+import shutil
 
 from repro.analysis import cachekey as cachekey_mod
-from repro.analysis import twins as twins_mod
 from repro.analysis.cachekey import check_cache_keys
 from repro.analysis.lint import (
+    KERNEL_FINGERPRINT_FUNCTIONS,
+    check_kernel_manifest,
     deep_findings,
+    kernel_fingerprints,
     load_allowlist,
+    load_kernel_manifest,
     package_root,
     run_lint,
-)
-from repro.analysis.twins import (
-    TwinPair,
-    check_twin_parity,
-    load_twin_manifest,
-    twin_fingerprints,
-    write_twin_manifest,
+    write_kernel_manifest,
 )
 from repro.analysis.writeback import check_writeback_source
 
@@ -175,61 +170,73 @@ class TestWritebackAcceptance:
 
 
 class TestTwinParity:
+    """The functions the twin-parity rule used to guard alone (the
+    migrating kernels, plane builders, MEA per-record loop, and trace
+    codecs) are fingerprinted in ``kernel_manifest.json`` like every
+    other function the fast kernel depends on; each drift check fires
+    on them."""
+
+    SIDES = (
+        "repro/kernel/replay.py::_replay_mempod",
+        "repro/kernel/replay.py::_replay_hma",
+        "repro/kernel/replay.py::_replay_thm",
+        "repro/kernel/replay.py::_single_plane",
+        "repro/kernel/replay.py::_hybrid_plane",
+        "repro/kernel/replay.py::_mempod_pod_plane",
+        "repro/kernel/replay.py::_thm_segment_plane",
+        "repro/tracking/mea.py::MeaTracker._record_loop",
+        "repro/trace/io.py::_encode_records_v1",
+        "repro/trace/io.py::_decode_records_v1",
+        "repro/trace/io.py::_encode_plane",
+        "repro/trace/io.py::load_columnar_planes",
+    )
+
     def test_shipped_tree_clean(self):
-        assert check_twin_parity() == []
+        assert check_kernel_manifest() == []
+        manifest = load_kernel_manifest()
+        assert len(manifest) == len(KERNEL_FINGERPRINT_FUNCTIONS) == 59
+        assert set(self.SIDES) <= set(manifest)
 
     def test_manifest_round_trip(self, tmp_path):
-        manifest = tmp_path / "twins.json"
-        prints = twin_fingerprints()
-        write_twin_manifest(prints, manifest)
-        assert load_twin_manifest(manifest) == prints
-        assert check_twin_parity(manifest_path=manifest) == []
+        manifest = tmp_path / "kernel.json"
+        prints = write_kernel_manifest(manifest)
+        assert load_kernel_manifest(manifest) == prints == kernel_fingerprints()
+        assert check_kernel_manifest(manifest) == []
+
+    def _write(self, path, prints):
+        path.write_text(json.dumps({"functions": prints}), encoding="utf-8")
 
     def test_drift_fires(self, tmp_path):
-        manifest = tmp_path / "twins.json"
-        prints = twin_fingerprints()
-        side = "repro/kernel/replay.py::_replay_mempod"
-        prints[side] = "stale-fingerprint"
-        write_twin_manifest(prints, manifest)
-        findings = check_twin_parity(manifest_path=manifest)
+        manifest = tmp_path / "kernel.json"
+        prints = kernel_fingerprints()
+        prints["repro/kernel/replay.py::_replay_mempod"] = "stale-fingerprint"
+        self._write(manifest, prints)
+        findings = check_kernel_manifest(manifest)
         assert len(findings) == 1
-        assert findings[0][2] == "_replay_mempod"
-        assert "changed since" in findings[0][3]
+        assert findings[0].rule == "kernel-drift"
+        assert "_replay_mempod" in findings[0].message
 
     def test_unacknowledged_side_fires(self, tmp_path):
-        manifest = tmp_path / "twins.json"
-        prints = twin_fingerprints()
-        del prints["repro/kernel/replay.py::_replay_mempod_pure"]
-        write_twin_manifest(prints, manifest)
-        findings = check_twin_parity(manifest_path=manifest)
+        manifest = tmp_path / "kernel.json"
+        prints = kernel_fingerprints()
+        del prints["repro/tracking/mea.py::MeaTracker._record_loop"]
+        self._write(manifest, prints)
+        findings = check_kernel_manifest(manifest)
         assert len(findings) == 1
-        assert "not in the twin manifest" in findings[0][3]
+        assert "absent from the manifest" in findings[0].message
 
-    def test_signature_mismatch_fires(self, tmp_path, monkeypatch):
-        pkg = tmp_path / "repro"
-        pkg.mkdir()
-        (pkg / "mod.py").write_text(
-            "def fast(a, b):\n    return a + b\n\n"
-            "def slow(a):\n    return a\n"
+    def test_missing_side_fires(self, tmp_path):
+        tree = tmp_path / "repro"
+        shutil.copytree(package_root(), tree)
+        target = tree / "trace" / "io.py"
+        source = target.read_text(encoding="utf-8")
+        target.write_text(
+            source.replace("def _encode_plane(", "def _encode_plane_renamed(", 1),
+            encoding="utf-8",
         )
-        pair = TwinPair("demo", "repro/mod.py::fast", "repro/mod.py::slow")
-        monkeypatch.setattr(twins_mod, "TWIN_PAIRS", (pair,))
-        manifest = tmp_path / "twins.json"
-        write_twin_manifest(twin_fingerprints(pkg), manifest)
-        findings = check_twin_parity(pkg, manifest)
+        findings = check_kernel_manifest(root=tree)
         assert len(findings) == 1
-        assert "signature mismatch" in findings[0][3]
-
-    def test_missing_side_fires(self, tmp_path, monkeypatch):
-        pkg = tmp_path / "repro"
-        pkg.mkdir()
-        (pkg / "mod.py").write_text("def fast(a):\n    return a\n")
-        pair = TwinPair("demo", "repro/mod.py::fast", "repro/mod.py::gone")
-        monkeypatch.setattr(twins_mod, "TWIN_PAIRS", (pair,))
-        manifest = tmp_path / "twins.json"
-        write_twin_manifest(twin_fingerprints(pkg), manifest)
-        findings = check_twin_parity(pkg, manifest)
-        assert any("is missing" in f[3] for f in findings)
+        assert "_encode_plane no longer exists" in findings[0].message
 
 
 class TestCacheKey:
@@ -297,7 +304,7 @@ class TestDeepLintIntegration:
         assert code == 0
         out = buf.getvalue()
         assert "repro lint: clean" in out
-        for rule in ("hoist-writeback", "twin-parity", "cache-key"):
+        for rule in ("hoist-writeback", "cache-key"):
             assert rule in out
 
     def test_run_lint_json_emits_json_lines(self, monkeypatch):

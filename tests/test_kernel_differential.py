@@ -115,34 +115,6 @@ class TestFallbackConfigurations:
         assert asdict(result) == asdict(reference)
 
 
-class TestPurePythonTwins:
-    """numpy is an accelerator, never a dependency: with it patched out,
-    the comprehension-based plane/grouping twins must drive the batched
-    datapath to the same bit-identical results.  (CI also runs this
-    whole file on a numpy-free interpreter; these tests keep the twins
-    covered on developer machines that do have numpy.)"""
-
-    @pytest.fixture()
-    def no_numpy(self, monkeypatch):
-        import repro.kernel.replay
-        import repro.trace.packed
-        import repro.tracking.competing
-        import repro.tracking.full_counters
-        import repro.tracking.mea
-
-        monkeypatch.setattr(repro.trace.packed, "_np", None)
-        monkeypatch.setattr(repro.kernel.replay, "_np", None)
-        # The tracker twins too: the no-numpy leg must cover
-        # record_batch/access_batch falling back to their scalar loops.
-        monkeypatch.setattr(repro.tracking.mea, "_np", None)
-        monkeypatch.setattr(repro.tracking.competing, "_np", None)
-        monkeypatch.setattr(repro.tracking.full_counters, "_np", None)
-
-    @pytest.mark.parametrize("kind", ["tlm", "mempod", "thm", "hma", "hbm-only"])
-    def test_without_numpy(self, geometry, kind, no_numpy):
-        assert_kernels_agree(_trace(geometry, "mix8", length=3_000), geometry, kind)
-
-
 class TestEdgeTraces:
     def test_empty_trace(self, geometry):
         trace = Trace(name="empty", records=[])

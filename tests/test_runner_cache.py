@@ -81,6 +81,22 @@ class TestRoundTrip:
         cache.path_for(key).write_text("{truncated", encoding="utf-8")
         assert cache.load(key) is None
 
+    def test_corrupt_entries_counted_apart_from_absent(
+        self, tmp_path, config, fresh_result
+    ):
+        cache = ResultCache(tmp_path)
+        key = cell_key(sim_cell(config, "xalanc", "mempod"))
+        cache.store(key, fresh_result)
+        path = cache.path_for(key)
+        path.write_bytes(path.read_bytes()[:40])  # truncate mid-payload
+        assert cache.load("0" * 64) is None  # absent: a plain miss
+        assert cache.corrupt_entries == 0
+        assert cache.load(key) is None
+        assert cache.corrupt_entries == 1
+        cache.store(key, fresh_result)  # recomputed result repairs it
+        assert cache.load(key) == fresh_result
+        assert cache.corrupt_entries == 1
+
     def test_unknown_result_type_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             ResultCache(tmp_path).store("0" * 64, object())

@@ -1,10 +1,11 @@
 """Trace serialisation round-trips and error handling."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.trace.io
 from repro.common.errors import TraceError
 from repro.geometry import scaled_geometry
 from repro.trace import Trace, build_trace, get_workload
@@ -74,18 +75,16 @@ class TestBinary:
         with pytest.raises(TraceError):
             loads(b"NOTATRACE" + b"\0" * 64)
 
-    def test_pure_twin_bytes_identical(self, sample_trace, tmp_path, monkeypatch):
-        """The vectorised v1 codec and the pure loop agree byte for byte."""
-        numpy_bytes = dumps(sample_trace)
-        numpy_records = loads(numpy_bytes).records
-        monkeypatch.setattr(repro.trace.io, "_np", None)
-        clone = Trace(
-            name=sample_trace.name,
-            records=list(sample_trace.records),
-            page_bytes=sample_trace.page_bytes,
-        )
-        assert dumps(clone) == numpy_bytes
-        assert loads(numpy_bytes).records == numpy_records
+    def test_dumps_golden_bytes(self):
+        """The v1 layout packed by hand: the ``<8sIQQ`` header, then one
+        ``<qqBB`` record each with the core stored +1 (core -1 -> 0)."""
+        records = [(0, 0, 0, -1), (10, 4096 + 64, 1, 0), (2**40, 2**33, 0, 7)]
+        trace = Trace(name="golden", records=records, page_bytes=2048)
+        expected = struct.pack("<8sIQQ", b"MPTRACE1", 1, 2048, len(records))
+        for arrival, address, is_write, core in records:
+            expected += struct.pack("<qqBB", arrival, address, is_write, core + 1)
+        assert dumps(trace) == expected
+        assert loads(expected).records == records
 
 
 class TestText:

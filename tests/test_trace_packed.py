@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.trace.packed
 from repro.common.errors import TraceError
 from repro.common.rng import DeterministicRng
 from repro.trace.packed import PackedTrace
@@ -96,16 +95,6 @@ class TestChunkGroups:
         packed, ctrls, banks, rows = _grouping_fixture()
         chunks = packed.chunk_groups(("k",), ctrls, banks, rows, sample)
         assert chunks == self._reference_groups(packed, ctrls, banks, rows, sample)
-
-    @pytest.mark.parametrize("sample", [0, 128])
-    def test_pure_python_twin_is_identical(self, sample, monkeypatch):
-        packed, ctrls, banks, rows = _grouping_fixture()
-        with_numpy = packed.chunk_groups(("k",), ctrls, banks, rows, sample)
-        monkeypatch.setattr(repro.trace.packed, "_np", None)
-        twin = PackedTrace(
-            list(zip(packed.arrivals, packed.addresses, packed.is_writes, packed.cores))
-        )
-        assert twin.chunk_groups(("k",), ctrls, banks, rows, sample) == with_numpy
 
     def test_memoised_per_sample_and_layout(self):
         packed, ctrls, banks, rows = _grouping_fixture(count=300)

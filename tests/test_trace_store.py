@@ -5,21 +5,19 @@ Three layers of proof:
 * the v2 file format round-trips (including hypothesis-random traces)
   and every corruption mode fails loudly at open;
 * the content-addressed store serves bit-identical traces to what
-  synthesis builds, under both the mapped (numpy) and eager (pure)
-  representations;
+  synthesis builds, as memory-mapped views;
 * the streamed replay path — windowed ``chunk_groups_streamed`` and the
   mapped kernels — matches the in-memory path result-for-result while
   keeping peak memory bounded by the window, not the trace.
 """
 
-import os
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.trace.io
-import repro.trace.packed
 from repro.common.errors import ConfigError, TraceError
 from repro.experiments.common import ExperimentConfig, clear_trace_cache, trace_for
 from repro.geometry import scaled_geometry
@@ -33,7 +31,6 @@ from repro.system.simulator import (
 from repro.trace import Trace, build_trace, get_workload
 from repro.trace.io import (
     CHUNK_RECORDS,
-    MAGIC2,
     columnar_size,
     read_columnar_header,
     save_columnar,
@@ -49,8 +46,6 @@ from repro.trace.store import (
     synth_trace_key,
 )
 
-_np = repro.trace.packed._np
-
 
 @pytest.fixture
 def sample_trace():
@@ -60,6 +55,29 @@ def sample_trace():
 
 def _records(trace):
     return [tuple(r) for r in trace.records]
+
+
+#: A hand-written trace for the golden-bytes tests: core -1 stores as
+#: -1 (v2 keeps the raw value), and the page plane is address // 2048.
+GOLDEN_RECORDS = [(0, 0, 0, -1), (10, 4096 + 64, 1, 0), (2**40, 2**33, 0, 7)]
+
+
+def _golden_columnar(records, page_bytes):
+    """The v2 file for ``records`` packed by hand: header, five plane
+    directory entries, zero padding to 1024 bytes, then one ``<q`` plane
+    per column zero-padded to a whole 128-record chunk."""
+    count = len(records)
+    stride = -(-count // 128) * 128
+    max_address = max((r[1] for r in records), default=-1)
+    head = struct.pack("<8sIIQQq", b"MPTRACE2", 2, 5, page_bytes, count, max_address)
+    for name in ("arrival", "address", "iswrite", "core", "page"):
+        head += struct.pack("<8s4sI", name.encode("ascii"), b"<i8", 0)
+    data = head + b"\0" * (1024 - len(head))
+    columns = [[r[i] for r in records] for i in range(4)]
+    columns.append([r[1] // page_bytes for r in records])
+    for column in columns:
+        data += struct.pack(f"<{stride}q", *column, *([0] * (stride - count)))
+    return data
 
 
 class TestColumnarFormat:
@@ -82,12 +100,9 @@ class TestColumnarFormat:
         path = tmp_path / "t.mpt"
         save_columnar(sample_trace, path)
         loaded = open_columnar(path)
-        if _np is not None:
-            assert isinstance(loaded, MappedTrace)
-            assert loaded.packed().mapped
-            assert loaded.name == "t"  # name defaults to the file stem
-        else:
-            assert not loaded.packed().mapped
+        assert isinstance(loaded, MappedTrace)
+        assert loaded.packed().mapped
+        assert loaded.name == "t"  # name defaults to the file stem
 
     def test_header_info(self, sample_trace, tmp_path):
         path = tmp_path / "t.mpt"
@@ -179,29 +194,20 @@ class TestColumnarFormat:
         with pytest.raises(TraceError):
             open_columnar(path)
 
-    def test_pure_twin_reads_identical(self, sample_trace, tmp_path, monkeypatch):
-        path = tmp_path / "pure.mpt"
-        save_columnar(sample_trace, path)
-        mapped_records = _records(open_columnar(path))
-        monkeypatch.setattr(repro.trace.io, "_np", None)
-        monkeypatch.setattr(repro.trace.packed, "_np", None)
-        pure = open_columnar(path)
-        assert not pure.packed().mapped
-        assert _records(pure) == mapped_records == _records(sample_trace)
+    @pytest.mark.parametrize("records", [GOLDEN_RECORDS, []], ids=["three", "empty"])
+    def test_writes_golden_bytes(self, records, tmp_path):
+        path = tmp_path / "golden.mpt"
+        save_columnar(Trace(name="golden", records=records, page_bytes=2048), path)
+        assert path.read_bytes() == _golden_columnar(records, 2048)
 
-    def test_pure_twin_writes_identical(self, sample_trace, tmp_path, monkeypatch):
-        numpy_path = tmp_path / "np.mpt"
-        save_columnar(sample_trace, numpy_path)
-        monkeypatch.setattr(repro.trace.io, "_np", None)
-        pure_path = tmp_path / "pure.mpt"
-        # A fresh packed() so the pure encoder sees plain lists.
-        clone = Trace(
-            name=sample_trace.name,
-            records=list(sample_trace.records),
-            page_bytes=sample_trace.page_bytes,
-        )
-        save_columnar(clone, pure_path)
-        assert numpy_path.read_bytes() == pure_path.read_bytes()
+    def test_reads_golden_bytes(self, tmp_path):
+        path = tmp_path / "golden.mpt"
+        path.write_bytes(_golden_columnar(GOLDEN_RECORDS, 2048))
+        loaded = open_columnar(path)
+        assert loaded.packed().mapped
+        assert loaded.page_bytes == 2048
+        assert _records(loaded) == GOLDEN_RECORDS
+        assert list(loaded.packed().pages(11)) == [r[1] // 2048 for r in GOLDEN_RECORDS]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -230,8 +236,6 @@ class TestColumnarFormat:
 
 class TestMappedTraceView:
     def test_records_view(self, sample_trace, tmp_path):
-        if _np is None:
-            pytest.skip("mapped view requires numpy")
         path = tmp_path / "v.mpt"
         save_columnar(sample_trace, path)
         loaded = open_columnar(path)
@@ -292,8 +296,7 @@ class TestTraceForIntegration:
         assert stored.name == eager.name
         assert stored.page_bytes == eager.page_bytes
         assert _records(stored) == _records(eager)
-        if _np is not None:
-            assert stored.packed().mapped
+        assert stored.packed().mapped
         clear_trace_cache()
 
     def test_warm_open_skips_synthesis(self, monkeypatch):
@@ -378,10 +381,9 @@ class TestTracehmImport:
         assert a == b
 
 
-@pytest.mark.skipif(_np is None, reason="streamed grouping requires numpy")
 class TestStreamedChunkGroups:
     def _decode(self, addresses):
-        a = _np.asarray(addresses, dtype=_np.int64)
+        a = np.asarray(addresses, dtype=np.int64)
         return (a >> 7) % 3, (a >> 9) % 4, a >> 13
 
     def _columns(self, packed):
@@ -481,7 +483,6 @@ class TestMappedReplayDifferential:
         assert actual == expected
 
 
-@pytest.mark.skipif(_np is None, reason="the RSS guard targets mapped replay")
 class TestStreamingPeakMemory:
     def test_peak_bounded_by_window(self, tmp_path):
         """Replaying ≥16x the window must not materialise the planes.

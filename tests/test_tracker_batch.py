@@ -2,15 +2,19 @@
 
 ``record_batch`` / ``access_batch`` must replay the per-record tracker
 semantics **bit for bit** — same tables, same counters, same aggregate
-event stats — on both the numpy path and the pure-Python twin.  The
-cases here are adversarial on purpose: tiny saturating counters,
+event stats — both on the vectorised numpy path and with every batch
+forced through the per-record loops that short batches and the MEA
+stall fallback take (``_record_loop`` / ``_access_loop``).  The cases
+here are adversarial on purpose: tiny saturating counters,
 full-table decrement rounds with evictions, the strict paper capacity
 variant, empty batches, and chunkings that land batch boundaries on
 every alignment.
 """
 
 import random
+import sys
 
+import numpy as np
 import pytest
 
 import repro.tracking.competing as competing_mod
@@ -26,11 +30,10 @@ MODES = ["numpy", "pure"]
 @pytest.fixture(params=MODES)
 def mode(request, monkeypatch):
     if request.param == "pure":
-        monkeypatch.setattr(mea_mod, "_np", None)
-        monkeypatch.setattr(full_mod, "_np", None)
-        monkeypatch.setattr(competing_mod, "_np", None)
-    elif mea_mod._np is None:
-        pytest.skip("numpy not installed")
+        # No batch is long enough to vectorise: every call runs the
+        # plain-Python per-record loop.
+        for module in (mea_mod, full_mod, competing_mod):
+            monkeypatch.setattr(module, "_BATCH_MIN", sys.maxsize)
     return request.param
 
 
@@ -88,7 +91,7 @@ class TestMeaBatch:
     def test_single_batch_with_decrement_rounds(self, mode):
         # Capacity 4 with a wide stream: the table overflows constantly,
         # exercising the decrement-round segmentation (and, on the numpy
-        # path, the stall fallback to the pure loop).
+        # path, the stall fallback to the per-record loop).
         stream = _streams()["uniform"][:1_500]
         reference = MeaTracker(capacity=4, counter_bits=2)
         for page in stream:
@@ -105,10 +108,8 @@ class TestMeaBatch:
         assert self._mea_state(tracker) == ({}, 0, 0, 0, 0, [])
 
     def test_table_keys_stay_plain_ints(self):
-        if mea_mod._np is None:
-            pytest.skip("numpy not installed")
         tracker = MeaTracker(capacity=8)
-        tracker.record_batch(mea_mod._np.asarray([3, 3, 5], dtype=mea_mod._np.int64))
+        tracker.record_batch(np.asarray([3, 3, 5], dtype=np.int64))
         assert all(type(page) is int for page in tracker.counters())
 
 
