@@ -138,7 +138,11 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     # kernels' swap sinks that merge it into buffered demand columns
     "repro/core/datapath.py::MigrationEngine.swap_pages",
     "repro/kernel/replay.py::_swap_merged_buffers",
-    # the migrating kernels and the decode planes they index
+    # the migrating kernels, the dense remap view they translate
+    # through, and the decode planes they index
+    "repro/kernel/replay.py::_columnar_interval_replay",
+    "repro/kernel/replay.py::_seed_view",
+    "repro/kernel/replay.py::_absorb_journal",
     "repro/kernel/replay.py::_replay_mempod",
     "repro/kernel/replay.py::_replay_hma",
     "repro/kernel/replay.py::_replay_thm",

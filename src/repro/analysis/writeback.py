@@ -25,8 +25,14 @@ including exceptional exits, which is why the real restores live in
   inside the function.  Every write to a declared attribute outside a
   ``finally`` body must have all exit paths pass through another write
   (the terminal restore); ``finally``-resident writes are the terminal
-  restores and are exempt.  A declared attribute with no writes at all
-  is a stale contract and is itself a finding.
+  restores and are exempt.  A write made per element of a collection
+  (``for table in tables: table.journal = journal``) is restored by a
+  ``finally``-resident loop over the *same* iterable with the same
+  target that writes the attribute back (``for table in tables:
+  table.journal = None``): reaching that loop's header counts as the
+  restore, since it visits every element the setting loop did.  A
+  declared attribute with no writes at all is a stale contract and is
+  itself a finding.
 
 Direct-rebind mutations drop their own exception edge (a statement that
 raises never completed its store); closure-call mutations keep it (the
@@ -240,11 +246,40 @@ def _check_inferred_pairs(cfg, qualname: str, path: str, report) -> None:
             )
 
 
+def _element_loops(cfg, attr: str) -> List[CFGNode]:
+    """``for`` header nodes whose body directly writes ``attr`` through
+    the loop target (``for t in xs: t.attr = ...``)."""
+    obj = attr.split(".", 1)[0]
+    return [
+        node
+        for node in cfg.stmt_nodes()
+        if isinstance(node.stmt, (ast.For, ast.AsyncFor))
+        and isinstance(node.stmt.target, ast.Name)
+        and node.stmt.target.id == obj
+        and any(_attr_write(stmt) == attr for stmt in node.stmt.body)
+    ]
+
+
+def _loop_restores(node: CFGNode, loops: List[CFGNode]) -> Set[int]:
+    """Restore walls for a write made inside one of ``loops``: the
+    ``finally``-resident loops over the same iterable."""
+    owner = next((loop for loop in loops if node.stmt in loop.stmt.body), None)
+    if owner is None:
+        return set()
+    iterable = ast.dump(owner.stmt.iter)
+    return {
+        loop.id
+        for loop in loops
+        if loop.in_finally and ast.dump(loop.stmt.iter) == iterable
+    }
+
+
 def _check_declared(
     cfg, declared: Dict[str, int], qualname: str, path: str, report
 ) -> None:
     for attr, decl_line in sorted(declared.items(), key=lambda kv: kv[1]):
         writes = [n for n in cfg.stmt_nodes() if _attr_write(n.stmt) == attr]
+        loops = _element_loops(cfg, attr)
         if not writes:
             report(
                 path,
@@ -261,7 +296,7 @@ def _check_declared(
             if reaches_exit_avoiding(
                 cfg,
                 [node.id],
-                write_ids - {node.id},
+                (write_ids - {node.id}) | _loop_restores(node, loops),
                 drop_start_exception_edges=True,
             ):
                 report(

@@ -28,6 +28,7 @@ from ..managers.base import ComposedManager
 from ..system.cache import MetadataCache
 from ..system.hybrid import HybridMemory
 from .pod import Pod
+from .remap import RemapTable
 
 DEFAULT_INTERVAL_PS = us(50)
 DEFAULT_MEA_COUNTERS = 64
@@ -133,13 +134,18 @@ class MemPodManager(ComposedManager):
         """MemPod shards its remap table per pod; flip the owning shard."""
         return self.pods[pod].remap.swap_frames(frame_a, frame_b)
 
+    def remap_tables(self) -> "tuple[RemapTable, ...]":
+        """The per-pod remap shards, in pod order."""
+        return tuple(pod.remap for pod in self.pods)
+
     def remap_columns(self) -> "tuple[list[int], list[int]]":
         """Merged sorted ``(pages, frames)`` view across the pod shards.
 
         Pods own disjoint page ranges, so the shard union is itself a
-        bijective sparse remap; the columnar kernel's translation pass
-        can binary-search one merged table instead of routing each
-        record to its pod first.
+        bijective sparse remap.  The columnar kernel seeds its one dense
+        page-to-frame view from it once per replay, so translation never
+        routes a record to its pod first; swaps after that reach the
+        view through the shards' journal.
         """
         merged = {}
         for pod in self.pods:

@@ -13,7 +13,11 @@ Both start as the identity (no page has moved) and stay sparse: only
 migrated pages occupy dict entries.  The two directions are updated
 together by :meth:`RemapTable.swap_frames`, the only mutation, so the
 bijection invariant (forward and inverse composing to identity) holds
-by construction; :meth:`check_invariants` verifies it for tests.
+by construction; :meth:`check_invariants` verifies it for tests.  While
+a replay kernel has attached a ``journal`` list, every swap also
+appends its two new ``(page, frame)`` placements to it, which is how
+the kernels keep a dense page-to-frame view in step without re-reading
+the sparse tables.
 
 The subclasses are the paper's remap-table *policies* — the same state
 machine priced differently for the Table 1 hardware-cost comparison:
@@ -26,7 +30,7 @@ by :meth:`~repro.core.pod.Pod.storage_bits`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..common.errors import MigrationError
 
@@ -37,6 +41,9 @@ class RemapTable:
     def __init__(self) -> None:
         self._forward: Dict[int, int] = {}  # original page -> current frame
         self._resident: Dict[int, int] = {}  # frame -> original page
+        # (page_a, frame_b, page_b, frame_a) per swap, only while a
+        # replay kernel has attached a list; None otherwise.
+        self.journal: Optional[List[Tuple[int, int, int, int]]] = None
 
     def location_of(self, page: int) -> int:
         """Frame currently holding ``page``'s data."""
@@ -59,6 +66,9 @@ class RemapTable:
         page_b = self._resident.get(frame_b, frame_b)
         self._set(page_a, frame_b)
         self._set(page_b, frame_a)
+        journal = self.journal
+        if journal is not None:
+            journal.append((page_a, frame_b, page_b, frame_a))
         return page_a, page_b
 
     def _set(self, page: int, frame: int) -> None:

@@ -36,6 +36,9 @@ mutations with the per-record overhead hoisted out:
   batched tracker updates (``record_batch`` / ``access_batch``), the
   event itself replays scalar, and swap traffic goes down the same
   ``enqueue_batch`` datapath (``MigrationEngine.batch_swaps``).
+  Translation is one gather from a dense page-to-frame array, seeded
+  once per replay and kept in step by the swap journal the kernel
+  attaches to the manager's remap tables (:func:`_absorb_journal`).
 
 **Equality contract**: for every supported configuration the fast
 kernel produces a ``SimulationResult`` equal field-for-field to the
@@ -65,8 +68,9 @@ trace-length planes), the interval and THM engines replace the decode
 planes with per-slice decodes of the address column (identity-mapped
 records decode to exactly the plane values, by definition), and scalar
 paths decode inline through the mappers.  Peak Python-heap usage is
-bounded by the streaming window instead of the trace length; results
-are pinned byte-identical to the in-memory path by
+bounded by the streaming window (plus, once a page has moved, the
+geometry-sized page-to-frame view) instead of the trace length;
+results are pinned byte-identical to the in-memory path by
 ``tests/test_trace_store.py``.  CAMEO is the documented exception: its
 per-record predictor-free loop still materialises the line/decode
 planes, so it replays mapped traces correctly but not with flat RSS.
@@ -96,7 +100,8 @@ LINE_SHIFT = LINE_BYTES.bit_length() - 1
 
 #: Event-free slices at or below this length replay per record inside the
 #: columnar engine: a handful of scalar buffer appends is cheaper than the
-#: per-slice column set-up (snapshot searches, argsort, tolist).
+#: per-slice column set-up (view gather, block-snapshot search, argsort,
+#: tolist).
 _SCALAR_SLICE = 32
 
 
@@ -524,6 +529,44 @@ def _swap_merged_buffers(ctrls, batch):
     return (buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd), flush_ctrl, flush_all, sink
 
 
+def _seed_view(manager, total_pages):
+    """The manager's forward remap as ``(merged, frame_of)``: one sparse
+    ``page -> frame`` dict across every remap table, and its dense int64
+    twin over the flat space (``None`` while no page has moved, so
+    replays that never migrate never allocate it).  The replay's one
+    ``remap_columns`` call; later swaps arrive via the journal."""
+    pages, frames = manager.remap_columns()
+    frame_of = None
+    if pages:
+        frame_of = _np.arange(total_pages, dtype=_np.int64)
+        frame_of[pages] = frames
+    return dict(zip(pages, frames)), frame_of
+
+
+def _absorb_journal(journal, frame_of, total_pages, merged=None):
+    """Apply journalled swaps to the dense view (and ``merged``); clear
+    the journal and return the view, built on first use.
+
+    Entries apply in swap order, each placing two pages, so a page
+    moved twice ends at its latest frame; a page placed back home gets
+    ``frame_of[page] == page`` and leaves ``merged``, keeping the dict
+    exactly as sparse as :meth:`RemapTable._set` keeps the tables.
+    """
+    if frame_of is None:
+        frame_of = _np.arange(total_pages, dtype=_np.int64)
+    for page_a, frame_b, page_b, frame_a in journal:
+        frame_of[page_a] = frame_b
+        frame_of[page_b] = frame_a
+        if merged is not None:
+            for page, frame in ((page_a, frame_b), (page_b, frame_a)):
+                if page == frame:
+                    merged.pop(page, None)
+                else:
+                    merged[page] = frame
+    journal.clear()
+    return frame_of
+
+
 def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_trackers):
     """Columnar engine shared by the boundary-triggered kernels.
 
@@ -539,12 +582,12 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
       state-equivalent to the reference's per-record prune because
       entries expired for an earlier record yield no penalty for any
       later one and nothing is added mid-slice;
-    * translation via binary search against a sorted snapshot of the
-      remap table (``remap_columns``); when any record hits, the whole
-      slice's channel/bank/row columns are recomputed densely from the
-      translated addresses (identity records decode identically, so no
-      scatter is needed), otherwise the memoised decode plane is used
-      as is;
+    * translation by one gather from a dense page-to-frame view
+      (``frame_of``, see :func:`_absorb_journal`); when any record has
+      moved, the whole slice's channel/bank/row columns are recomputed
+      densely from the translated addresses (identity records decode
+      identically, so no scatter is needed), otherwise the memoised
+      decode plane is used as is;
     * transactions grouped by controller (stable argsort) into
       per-controller column buffers that live across slices and flush
       through one ``enqueue_batch`` call per controller — exact because
@@ -564,10 +607,13 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
 
     At the cut the event fires exactly as the reference per-record check
     would: elapsed boundaries run in order (trackers flushed first),
-    then due swaps issue; both invalidate the snapshots.  The
-    ``finally`` restores the engine flag, writes the boundary cursor
-    back, and flushes trackers for every record already replayed, so an
-    exception mid-chunk cannot leave the manager with stale state.
+    then due swaps issue; both invalidate the block snapshot, and every
+    swap they make lands in the remap journal, which the next slice
+    absorbs into the view before it translates.  The ``finally``
+    restores the engine flag, detaches the journal, writes the boundary
+    cursor back, and flushes trackers for every record already
+    replayed, so an exception mid-chunk cannot leave the manager with
+    stale state.
     """
     memory = manager.memory
     ctrls = _hybrid_controllers(memory)
@@ -622,6 +668,7 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
     flatnonzero = _np.flatnonzero
     where = _np.where
     argsort = _np.argsort
+    total_pages = memory.geometry.total_pages
 
     # Per-controller column buffers.  Demand accumulates here across
     # slices — and due swaps merge their traffic in through the
@@ -633,34 +680,36 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
 
     total = packed.length
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    remap_snap = None  # sorted (pages, frames) snapshot; None -> rebuild
+    # The merged sparse remap the scalar path reads, and its dense twin
+    # the vector path gathers from (built on the first remapped page).
+    remap, frame_of = _seed_view(manager, total_pages)
+    remap_get = remap.get
+    journal = []
+    tables = manager.remap_tables()
     blocked_snap = None  # sorted (pages, untils) snapshot; None -> rebuild
     last_ps = 0
     offset = 0
     pos = 0
     i = 0
     flushed = 0  # records whose tracker updates have been applied
-    # hoists: engine.batch_swaps, engine.swap_sink
+    # hoists: engine.batch_swaps, engine.swap_sink, table.journal
     engine.batch_swaps = True
     engine.swap_sink = swap_sink
     try:
+        for table in tables:
+            table.journal = journal
         while pos < total:
             end = pos + sample if sample else total
             if end > total:
                 end = total
             i = pos
             while i < end:
+                if journal:
+                    frame_of = _absorb_journal(journal, frame_of, total_pages, remap)
                 event = next_boundary
                 if queue and queue[0][0] < event:
                     event = queue[0][0]
                 cut = cut_at(event - offset, i, end)
-                if cut > i and remap_snap is None:
-                    rpages_l, rframes_l = manager.remap_columns()
-                    remap_get = dict(zip(rpages_l, rframes_l)).get
-                    remap_snap = (
-                        asarray(rpages_l, dtype=int64),
-                        asarray(rframes_l, dtype=int64),
-                    )
                 if i < cut <= i + _SCALAR_SLICE:
                     # -- short event-free slice: per-record replay is
                     # cheaper than the column set-up --------------------
@@ -734,15 +783,10 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
                         prune_blocked(arrivals[cut - 1] + offset)
                         if len(blocked) != size:
                             blocked_snap = None
-                    rpages, rframes = remap_snap
                     translated = None
-                    if len(rpages):
-                        ridx = searchsorted(rpages, pg)
-                        _np.minimum(ridx, len(rpages) - 1, out=ridx)
-                        rhit = rpages[ridx] == pg
-                        if rhit.any():
-                            frames = pg.copy()
-                            frames[rhit] = rframes[ridx[rhit]]
+                    if frame_of is not None:
+                        frames = frame_of[pg]
+                        if (frames != pg).any():
                             translated = (frames << page_shift) | (
                                 addr_col[i:cut] & page_mask
                             )
@@ -816,7 +860,6 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
                         run_boundary(next_boundary)
                         next_boundary += interval
                     engine.swap_sink = swap_sink
-                    remap_snap = None
                     blocked_snap = None
                 if queue and queue[0][0] <= arrival:
                     # Due swaps merge into the buffered demand columns
@@ -827,7 +870,6 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
                     # enqueue order — a swap no longer ejects a chunk's
                     # deferred demand from the batched path.
                     issue_swaps(arrival)
-                    remap_snap = None
                     blocked_snap = None
             flush_all()
             last_ps = arrivals[end - 1] + offset
@@ -848,6 +890,8 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
         engine.batch_swaps = False
         engine.swap_sink = None
         manager._next_boundary_ps = next_boundary
+        for table in tables:
+            table.journal = None
         if flushed < i:
             flush_trackers(flushed, i)
             flushed = i
@@ -949,19 +993,20 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     and :meth:`CompetingCounterArray.access_batch` both applies a run of
     counter updates vectorised *and* reports where the first threshold
     crossing lands.  So each throttle chunk replays as: translate the
-    chunk densely (one binary search against the remap snapshot),
-    classify every record as challenger or defender from its effective
-    frame, let ``access_batch`` find the first trigger, accumulate the
-    trigger-free prefix into per-controller column buffers (penalties,
-    translation), then replay the triggering record itself through the
-    exact scalar path — its migration's swap traffic merges into the
-    buffered columns through the engine's swap sink, and the trigger's
-    own transaction is buffered right behind it — and repeat from the
-    next record with fresh snapshots.  The buffers flush through one
-    ``enqueue_batch`` call per controller at each chunk end (before the
-    throttle probe reads the bus cursors), so the migration backlog
-    lands in the batched path's episode engine instead of a scalar
-    drain.
+    chunk densely (one gather from the dense page-to-frame view, see
+    :func:`_absorb_journal`), classify every record as challenger or
+    defender from its effective frame, let ``access_batch`` find the
+    first trigger, accumulate the trigger-free prefix into
+    per-controller column buffers (penalties, translation), then replay
+    the triggering record itself through the exact scalar path — its
+    migration's swap traffic merges into the buffered columns through
+    the engine's swap sink, and the trigger's own transaction is
+    buffered right behind it — and repeat from the next record, after
+    absorbing the migration's journalled swap into the view.  The
+    buffers flush through one ``enqueue_batch`` call per controller at
+    each chunk end (before the throttle probe reads the bus cursors), so
+    the migration backlog lands in the batched path's episode engine
+    instead of a scalar drain.
     """
     memory = manager.memory
     ctrls = _hybrid_controllers(memory)
@@ -1002,7 +1047,6 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     access_challenger = manager.counters.access_challenger
     migrate = manager._migrate
     location_get = manager._location.get
-    resident_get = manager.remap._resident.get
     block_penalty = manager._block_penalty_ps
     blocked = manager._blocked
     expiry = manager._blocked_expiry
@@ -1029,75 +1073,31 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
 
     total = packed.length
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    remap_snap = None
+    total_pages = manager.geometry.total_pages
+    _, frame_of = _seed_view(manager, total_pages)
+    journal = []
+    tables = manager.remap_tables()
     blocked_snap = None
     last_ps = 0
     offset = 0
     pos = 0
 
-    empty = _np.empty
-    concatenate = _np.concatenate
-
-    def shifted_in(arr, idx, value):
-        out = empty(len(arr) + 1, dtype=arr.dtype)
-        out[:idx] = arr[:idx]
-        out[idx] = value
-        out[idx + 1 :] = arr[idx:]
-        return out
-
-    def patch_remap(snapshot, moved_page):
-        # One migration changes at most two forward entries; patching the
-        # sorted snapshot in place (O(len) insert/delete at worst) beats
-        # re-sorting the whole table after every trigger.
-        rpages, rframes = snapshot
-        idx = int(searchsorted(rpages, moved_page))
-        present = idx < len(rpages) and rpages[idx] == moved_page
-        new_frame = location_get(moved_page, moved_page)
-        if new_frame != moved_page:
-            if present:
-                rframes[idx] = new_frame
-                return snapshot
-            return (
-                shifted_in(rpages, idx, moved_page),
-                shifted_in(rframes, idx, new_frame),
-            )
-        if present:
-            keep = (rpages[:idx], rpages[idx + 1 :])
-            return (
-                concatenate(keep),
-                concatenate((rframes[:idx], rframes[idx + 1 :])),
-            )
-        return snapshot
-
-    # hoists: engine.batch_swaps, engine.swap_sink
+    # hoists: engine.batch_swaps, engine.swap_sink, table.journal
     engine.batch_swaps = True
     engine.swap_sink = swap_sink
     try:
+        for table in tables:
+            table.journal = journal
         while pos < total:
             end = pos + sample if sample else total
             if end > total:
                 end = total
             i = pos
             while i < end:
+                if journal:
+                    frame_of = _absorb_journal(journal, frame_of, total_pages)
                 pg = page_col[i:end]
-                if remap_snap is None:
-                    rpages, rframes = manager.remap_columns()
-                    remap_snap = (
-                        asarray(rpages, dtype=int64),
-                        asarray(rframes, dtype=int64),
-                    )
-                rpages, rframes = remap_snap
-                frames = pg
-                rhit = None
-                if len(rpages):
-                    ridx = searchsorted(rpages, pg)
-                    _np.minimum(ridx, len(rpages) - 1, out=ridx)
-                    rhit = rpages[ridx] == pg
-                    if rhit.any():
-                        frames = pg.copy()
-                        frames[rhit] = rframes[ridx[rhit]]
-                    else:
-                        rhit = None
+                frames = pg if frame_of is None else frame_of[pg]
                 # Challenger iff the *effective* frame lives in slow
                 # memory — the same test the scalar path's frame branch
                 # makes (location_get default = identity).
@@ -1140,7 +1140,7 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
                         prune_blocked(arrivals[cut - 1] + offset)
                         if len(blocked) != size:
                             blocked_snap = None
-                    if rhit is not None and rhit[:m].any():
+                    if frame_of is not None and (frames[:m] != pslice).any():
                         translated = (frames[:m] << page_shift) | (
                             addr_col[i:cut] & page_mask
                         )
@@ -1220,22 +1220,12 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
                 else:
                     challenger = access_challenger(segment, page)
                     if challenger is not None:
-                        # Capture the two pages the swap will remap
-                        # *before* it runs; a stale trigger (challenger
-                        # already resident) moves nothing.
-                        challenger_frame = location_get(challenger, challenger)
-                        if challenger_frame != segment:
-                            moved_a = resident_get(segment, segment)
-                            moved_b = resident_get(
-                                challenger_frame, challenger_frame
-                            )
-                        else:
-                            moved_a = moved_b = None
+                        # A real swap journals itself and blocks its two
+                        # pages; a stale trigger (challenger already
+                        # resident) moves nothing.
                         penalty += migrate(segment, challenger, arrival)
                         frame = location_get(page, page)
-                        if moved_a is not None:
-                            remap_snap = patch_remap(remap_snap, moved_a)
-                            remap_snap = patch_remap(remap_snap, moved_b)
+                        if journal:
                             blocked_snap = None
                 if frame is None and not mapped:
                     ci = plane_ctrl[i]
@@ -1282,6 +1272,8 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     finally:
         engine.batch_swaps = False
         engine.swap_sink = None
+        for table in tables:
+            table.journal = None
     return collect_result(manager, trace, end_ps)
 
 

@@ -26,6 +26,7 @@ from ..core.datapath import MigrationEngine, MigrationStats
 from ..geometry import MemoryGeometry
 
 if TYPE_CHECKING:  # annotation-only; avoids a package cycle
+    from ..core.remap import RemapTable
     from ..system.hybrid import HybridMemory
 
 
@@ -293,14 +294,25 @@ class ComposedManager(MemoryManager):
         whose data is in flight.  Sharded tables override."""
         return self.remap.swap_frames(frame_a, frame_b)
 
+    def remap_tables(self) -> Tuple["RemapTable", ...]:
+        """Every remap table whose swaps move this manager's pages.
+
+        The migrating kernels attach their swap journal to each one;
+        managers with a sharded table (MemPod) override this with the
+        shards.
+        """
+        return (self.remap,)
+
     def remap_columns(self) -> Tuple[List[int], List[int]]:
         """Sorted ``(pages, frames)`` snapshot of the forward remap.
 
-        Like :meth:`MemoryManager.blocked_columns`, this feeds the
-        columnar kernels' vectorised translation pass; managers with a
-        sharded table (MemPod) override it with a merged view.  Only
-        remapped pages appear — absence means identity, exactly as the
-        sparse table's ``get(page) is None`` test does.
+        The migrating kernels call this once per replay to seed their
+        dense page-to-frame view, then keep the view in step from the
+        swap journal (:meth:`remap_tables`) instead of re-reading the
+        table.  Managers with a sharded table (MemPod) override it with
+        a merged view.  Only remapped pages appear — absence means
+        identity, exactly as the sparse table's ``get(page) is None``
+        test does.
         """
         items = sorted(self.remap._forward.items())
         return [page for page, _ in items], [frame for _, frame in items]

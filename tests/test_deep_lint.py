@@ -115,6 +115,37 @@ class TestWritebackChecker:
         )
         assert findings == []
 
+    ELEMENT_CONTRACT = (
+        "def f(engine, tables, journal):\n"
+        "    # hoists: table.journal\n"
+        "    try:\n"
+        "        for table in tables:\n"
+        "            table.journal = journal\n"
+        "        work(engine)\n"
+        "    finally:\n"
+        "        for table in {restored}:\n"
+        "            table.journal = None\n"
+    )
+
+    def test_declared_contract_clean_with_element_restore_loop(self):
+        source = self.ELEMENT_CONTRACT.format(restored="tables")
+        assert wb(source, path="repro/other/module.py") == []
+
+    def test_element_restore_over_other_iterable_fires(self):
+        source = self.ELEMENT_CONTRACT.format(restored="others")
+        findings = wb(source, path="repro/other/module.py")
+        assert len(findings) == 1
+        assert "table.journal" in findings[0][3]
+
+    def test_element_set_without_restore_loop_fires(self):
+        source = self.ELEMENT_CONTRACT.format(restored="tables")
+        source = source.replace(
+            "        for table in tables:\n            table.journal = None\n", ""
+        ).replace("    finally:\n", "    finally:\n        pass\n")
+        findings = wb(source, path="repro/other/module.py")
+        assert len(findings) == 1
+        assert "can exit without a terminal restore" in findings[0][3]
+
     def test_stale_contract_fires(self):
         findings = wb(
             "def f(engine):\n"
@@ -169,6 +200,25 @@ class TestWritebackAcceptance:
         assert any("_next_boundary_ps" in f[3] for f in findings)
 
 
+    def test_deleting_journal_detach_fires(self):
+        """Both migrating kernels attach a swap journal to the manager's
+        remap tables; deleting either ``finally`` detach loop must fail
+        the lint for that kernel."""
+        base = package_root().parent
+        source = (base / "repro/kernel/replay.py").read_text(encoding="utf-8")
+        detach = "        for table in tables:\n            table.journal = None\n"
+        assert source.count(detach) == 2
+        for kept in range(2):
+            head, *rest = source.split(detach)
+            parts = [head]
+            for index, tail in enumerate(rest):
+                parts.append(detach if index == kept else "")
+                parts.append(tail)
+            findings = wb("".join(parts), "repro/kernel/replay.py")
+            sites = {site for _, _, site, message in findings if "table.journal" in message}
+            assert sites == {("_replay_thm", "_columnar_interval_replay")[kept]}
+
+
 class TestTwinParity:
     """The functions the twin-parity rule used to guard alone (the
     migrating kernels, plane builders, MEA per-record loop, and trace
@@ -194,7 +244,7 @@ class TestTwinParity:
     def test_shipped_tree_clean(self):
         assert check_kernel_manifest() == []
         manifest = load_kernel_manifest()
-        assert len(manifest) == len(KERNEL_FINGERPRINT_FUNCTIONS) == 59
+        assert len(manifest) == len(KERNEL_FINGERPRINT_FUNCTIONS) == 62
         assert set(self.SIDES) <= set(manifest)
 
     def test_manifest_round_trip(self, tmp_path):
