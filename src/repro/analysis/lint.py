@@ -139,17 +139,14 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     "repro/core/datapath.py::MigrationEngine.swap_pages",
     "repro/kernel/replay.py::_swap_merged_buffers",
     # the migrating kernels, the dense remap view they translate
-    # through, and the decode planes they index
+    # through, and the event-free slice pass they share
     "repro/kernel/replay.py::_columnar_interval_replay",
+    "repro/kernel/replay.py::_slice_pusher",
     "repro/kernel/replay.py::_seed_view",
     "repro/kernel/replay.py::_absorb_journal",
     "repro/kernel/replay.py::_replay_mempod",
     "repro/kernel/replay.py::_replay_hma",
     "repro/kernel/replay.py::_replay_thm",
-    "repro/kernel/replay.py::_single_plane",
-    "repro/kernel/replay.py::_hybrid_plane",
-    "repro/kernel/replay.py::_mempod_pod_plane",
-    "repro/kernel/replay.py::_thm_segment_plane",
     # tracker batch passes the columnar kernels drive (bit-identical to
     # the per-record loops by the tracker differential suite)
     "repro/tracking/mea.py::MeaTracker.record",
@@ -158,9 +155,8 @@ KERNEL_FINGERPRINT_FUNCTIONS: Tuple[str, ...] = (
     "repro/tracking/competing.py::CompetingCounterArray.access_batch",
     "repro/tracking/competing.py::CompetingCounterArray._access_loop",
     "repro/tracking/full_counters.py::FullCountersTracker.record_batch",
-    # the memory-mapped trace path: the streamed grouping and the
-    # per-mechanism decode helpers must keep matching the eager plane
-    # builders bit for bit (windowed-vs-in-memory differential suite)
+    # the trace grouping and the one decode formula per memory kind
+    # every kernel uses (windowed-vs-in-memory differential suite)
     "repro/trace/packed.py::PackedTrace.chunk_groups",
     "repro/trace/packed.py::PackedTrace.chunk_groups_streamed",
     "repro/trace/packed.py::PackedTrace.from_planes",

@@ -7,9 +7,9 @@ times.  The kernels here replay the *identical* sequence of state
 mutations with the per-record overhead hoisted out:
 
 * input comes from a :class:`~repro.trace.packed.PackedTrace`: columnar
-  record fields plus precomputed page numbers and per-record address
-  decodes (channel/bank/row), vectorised through numpy and memoised on
-  the trace;
+  record fields plus memoised page numbers; channel/bank/row decodes
+  are computed vectorised from the address column, one formula per
+  memory kind (:func:`_single_decode_np`, :func:`_hybrid_decode_np`);
 * one specialised loop per manager type inlines ``handle`` with every
   attribute lookup bound to a local and the common case fast-pathed —
   no blocked page (both block structures empty), identity remapping
@@ -32,10 +32,11 @@ mutations with the per-record overhead hoisted out:
   interval engine: a binary search over the arrival column locates
   where the next event lands (an interval boundary, a due swap, an
   inline THM migration trigger), the event-free slice before it is
-  processed with vectorised penalty/translation/grouping passes and
-  batched tracker updates (``record_batch`` / ``access_batch``), the
-  event itself replays scalar, and swap traffic goes down the same
-  ``enqueue_batch`` datapath (``MigrationEngine.batch_swaps``).
+  processed by one shared vectorised penalty/translation/decode/
+  grouping pass (:func:`_slice_pusher`) plus batched tracker updates
+  (``record_batch`` / ``access_batch``), the event itself replays
+  scalar, and swap traffic goes down the same ``enqueue_batch``
+  datapath (``MigrationEngine.batch_swaps``).
   Translation is one gather from a dense page-to-frame array, seeded
   once per replay and kept in step by the swap journal the kernel
   attaches to the manager's remap tables (:func:`_absorb_journal`).
@@ -61,24 +62,26 @@ The fallback *is* the reference loop, so ``fast_simulate`` is total:
 anything it cannot accelerate it still simulates correctly.
 
 **Mapped traces** (``packed.mapped`` — columns are memory-mapped planes
-of a columnar trace file, see :mod:`repro.trace.store`) replay through
-the same loops in *streaming* form: the direct kernels consume
-``chunk_groups_streamed`` (per-window decode instead of memoised
-trace-length planes), the interval and THM engines replace the decode
-planes with per-slice decodes of the address column (identity-mapped
-records decode to exactly the plane values, by definition), and scalar
-paths decode inline through the mappers.  Peak Python-heap usage is
-bounded by the streaming window (plus, once a page has moved, the
-geometry-sized page-to-frame view) instead of the trace length;
-results are pinned byte-identical to the in-memory path by
-``tests/test_trace_store.py``.  CAMEO is the documented exception: its
-per-record predictor-free loop still materialises the line/decode
-planes, so it replays mapped traces correctly but not with flat RSS.
+of a columnar trace file, see :mod:`repro.trace.store`) and in-memory
+traces replay through the same decode code.  The migrating kernels
+decode each event-free slice from its (translated) address column and
+their scalar paths decode inline through the mappers; CAMEO decodes
+once per streaming window (:func:`_stream_window`).  Only the direct
+kernels branch on ``packed.mapped``: in-memory traces keep the
+memoised ``PackedTrace.chunk_groups``, mapped ones stream through
+``chunk_groups_streamed``.  No kernel builds a trace-length decode
+column for a mapped trace, so the decode working set is bounded by
+the window (plus, once a page has moved, the geometry-sized
+page-to-frame view).  Manager state is not: CAMEO's line-location
+tables still grow with the lines it touches and dominate its peak, so
+flat RSS is not claimed for CAMEO.  Results are pinned byte-identical
+to the reference loop and to the in-memory path by
+``tests/test_trace_store.py``.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 
 from ..core.mempod import MemPodManager
 from ..dram.request import DEMAND, MIGRATION
@@ -105,12 +108,13 @@ LINE_SHIFT = LINE_BYTES.bit_length() - 1
 _SCALAR_SLICE = 32
 
 
-# -- decode planes ---------------------------------------------------------
+# -- address decode --------------------------------------------------------
 #
-# A plane is a per-record column of precomputed address decode results,
-# cached on the PackedTrace under a key derived from the memory layout —
-# two managers over the same geometry share planes, and a trace replayed
-# at several configurations computes each plane once.
+# One vectorised decode formula per memory kind, applied to whatever
+# address column a kernel holds: a whole in-memory trace (memoised
+# through PackedTrace.chunk_groups), one streaming window, or one
+# translated event-free slice.  Scalar paths decode through the same
+# mappers' fast_decode.
 
 
 def _mapper_key(mapper) -> tuple:
@@ -131,8 +135,8 @@ def _tier_table(memory):
     """Per-tier decode rows: ``(start, end, ctrl_base, mapper)``.
 
     One row per tier in address order, with flat controller indices
-    (tier 0's channels first) — the table the decode planes index
-    instead of re-deriving the old single fast/slow threshold.
+    (tier 0's channels first) — the table :func:`_hybrid_decode_np`
+    walks instead of re-deriving the old single fast/slow threshold.
     """
     table = []
     start = 0
@@ -151,127 +155,15 @@ def _hybrid_layout_key(memory) -> tuple:
     )
 
 
-def _single_plane(packed, device):
-    """(controller, bank, row) columns for a single-device memory."""
-    mapper = device.mapper
-    key = _single_layout_key(device)
-    plane = packed.planes.get(key)
-    if plane is None:
-        addresses = packed.np_addresses()
-        ctrls = ((addresses >> mapper._bank_shift) & mapper._chan_mask).tolist()
-        banks = ((addresses >> mapper._row_shift) & mapper._bank_mask).tolist()
-        rows = (addresses >> mapper._chan_shift).tolist()
-        plane = (ctrls, banks, rows)
-        packed.planes[key] = plane
-    return plane
-
-
-def _hybrid_plane(packed, memory):
-    """(controller, bank, row) columns for a tiered memory.
-
-    Controller indices are flat across every tier — tier 0's channels
-    first — matching the ``enqueues`` list the replay loops build.
-    Tiers are indexed through the :func:`_tier_table` rows rather than
-    a single fast/slow threshold; on two-tier systems the chained
-    ``where`` collapses to exactly the old ``is_fast`` select.
-    """
-    table = _tier_table(memory)
-    key = _hybrid_layout_key(memory)
-    plane = packed.planes.get(key)
-    if plane is None:
-        addresses = packed.np_addresses()
-        ctrl_col = bank_col = row_col = None
-        # Walk the table last tier first: the final tier is the
-        # unconditional branch (the old else-arm), earlier tiers
-        # overlay it under their `address < end` condition.
-        for start, end, base, mapper in reversed(table):
-            off = addresses - start
-            tier_ctrl = base + ((off >> mapper._bank_shift) & mapper._chan_mask)
-            tier_bank = (off >> mapper._row_shift) & mapper._bank_mask
-            tier_row = off >> mapper._chan_shift
-            if ctrl_col is None:
-                ctrl_col, bank_col, row_col = tier_ctrl, tier_bank, tier_row
-            else:
-                here = addresses < end
-                ctrl_col = _np.where(here, tier_ctrl, ctrl_col)
-                bank_col = _np.where(here, tier_bank, bank_col)
-                row_col = _np.where(here, tier_row, row_col)
-        ctrls = ctrl_col.tolist()
-        banks = bank_col.tolist()
-        rows = row_col.tolist()
-        plane = (ctrls, banks, rows)
-        packed.planes[key] = plane
-    return plane
-
-
-def _mempod_pod_key(manager) -> tuple:
-    return (
-        "mempod-pods",
-        manager._page_shift,
-        manager._fast_pages,
-        manager._ppr,
-        manager._fast_chan,
-        manager._fast_cpp,
-        manager._slow_chan,
-        manager._slow_cpp,
-    )
-
-
-def _mempod_pod_plane(packed, manager):
-    """Owning-pod id per record (MemPod's inlined pod-of-page formula)."""
-    key = _mempod_pod_key(manager)
-    plane = packed.planes.get(key)
-    if plane is None:
-        pages = packed.pages(manager._page_shift)
-        fast_pages = manager._fast_pages
-        ppr = manager._ppr
-        fast_chan = manager._fast_chan
-        fast_cpp = manager._fast_cpp
-        slow_chan = manager._slow_chan
-        slow_cpp = manager._slow_cpp
-        page_col = _np.asarray(pages, dtype=_np.int64)
-        plane = _np.where(
-            page_col < fast_pages,
-            ((page_col // ppr) % fast_chan) // fast_cpp,
-            (((page_col - fast_pages) // ppr) % slow_chan) // slow_cpp,
-        ).tolist()
-        packed.planes[key] = plane
-    return plane
-
-
-def _thm_segment_plane(packed, manager):
-    """THM segment id per record (``segment_of`` over the page column)."""
-    fast_pages = manager.geometry.fast_pages
-    shift = manager._page_shift
-    key = ("thm-segments", shift, fast_pages)
-    plane = packed.planes.get(key)
-    if plane is None:
-        pages = packed.pages(shift)
-        page_col = _np.asarray(pages, dtype=_np.int64)
-        plane = _np.where(
-            page_col < fast_pages, page_col, (page_col - fast_pages) % fast_pages
-        ).tolist()
-        packed.planes[key] = plane
-    return plane
-
-
 def _hybrid_controllers(memory):
-    """Flat controller list matching :func:`_hybrid_plane` indices."""
+    """Flat controller list matching :func:`_hybrid_decode_np`'s
+    controller indices (tier 0's channels first)."""
     return list(memory._controllers)
 
 
-# -- streaming decode (mapped traces) --------------------------------------
-#
-# A mapped trace's columns live on disk; memoising trace-length decode
-# planes on it would defeat the point.  These helpers package the exact
-# decode formulas of _single_plane/_hybrid_plane as per-window
-# callables for PackedTrace.chunk_groups_streamed, so the direct kernels
-# decode one bounded window at a time.
-
-
 def _single_decode_np(device):
-    """Windowed (ctrl, bank, row) decoder for a single-device memory —
-    the same formulas as :func:`_single_plane`."""
+    """``int64 address array -> (ctrl, bank, row)`` decoder for a
+    single-device memory."""
     mapper = device.mapper
     row_shift = mapper._row_shift
     bank_shift = mapper._bank_shift
@@ -290,9 +182,15 @@ def _single_decode_np(device):
 
 
 def _hybrid_decode_np(memory):
-    """Windowed (ctrl, bank, row) decoder for a tiered memory — the
-    same tier-table walk as :func:`_hybrid_plane` (flat
-    controller indices, tier 0's channels first)."""
+    """``int64 address array -> (ctrl, bank, row)`` decoder for a tiered
+    memory.
+
+    Controller indices are flat across every tier — tier 0's channels
+    first — matching :func:`_hybrid_controllers`.  The table is walked
+    last tier first: the final tier is the unconditional branch and
+    earlier tiers overlay it under their ``address < end`` condition,
+    which on two-tier systems is exactly the ``is_fast`` select.
+    """
     table = _tier_table(memory)
     where = _np.where
 
@@ -316,8 +214,9 @@ def _hybrid_decode_np(memory):
 
 
 def _stream_window(packed) -> int:
-    """The streaming window for a mapped trace (a positive multiple of
-    the 128-record throttle chunk, validated at open)."""
+    """The decode window in records: a mapped trace's validated window
+    (a positive multiple of the 128-record throttle chunk), else the
+    default one."""
     return packed.window or DEFAULT_TRACE_WINDOW
 
 
@@ -333,51 +232,47 @@ def _stream_window(packed) -> int:
 def _replay_tlm(trace, packed, manager, throttle_cap_ps):
     """TLM baseline: every record is one DEMAND enqueue, no remapping."""
     memory = manager.memory
-    ctrls = _hybrid_controllers(memory)
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    if packed.mapped:
-        chunks = packed.chunk_groups_streamed(
-            _hybrid_decode_np(memory), sample, _stream_window(packed)
-        )
-    else:
-        chunks = packed.chunk_groups(
-            _hybrid_layout_key(memory), *_hybrid_plane(packed, memory), sample
-        )
-    return _replay_direct(trace, packed, manager, throttle_cap_ps, ctrls, chunks)
+    return _replay_direct(
+        trace, packed, manager, throttle_cap_ps, _hybrid_controllers(memory),
+        _hybrid_layout_key(memory), _hybrid_decode_np(memory),
+    )
 
 
 def _replay_single(trace, packed, manager, throttle_cap_ps):
     """HBM-only / DDR-only: one device, no remapping."""
     device = manager.memory.device
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
-    if packed.mapped:
-        chunks = packed.chunk_groups_streamed(
-            _single_decode_np(device), sample, _stream_window(packed)
-        )
-    else:
-        chunks = packed.chunk_groups(
-            _single_layout_key(device), *_single_plane(packed, device), sample
-        )
     return _replay_direct(
-        trace, packed, manager, throttle_cap_ps, device.controllers, chunks
+        trace, packed, manager, throttle_cap_ps, device.controllers,
+        _single_layout_key(device), _single_decode_np(device),
     )
 
 
-def _replay_direct(trace, packed, manager, throttle_cap_ps, ctrls, chunks):
+def _replay_direct(
+    trace, packed, manager, throttle_cap_ps, ctrls, layout_key, decode
+):
     """Shared loop for managers whose handle() is a bare memory access.
 
     Fully batched: every throttle chunk arrives already regrouped by
     controller index — from the memoised ``PackedTrace.chunk_groups``
-    for in-memory traces, or the windowed ``chunk_groups_streamed``
-    generator for mapped ones (identical chunks, O(window) memory) — so
-    the replay is one ``enqueue_batch`` call per (chunk, controller)
-    plus the throttle sample — no per-record Python work at all while
-    the offset is zero.
+    (keyed by ``layout_key``, fed ``decode`` over the whole address
+    column) for in-memory traces, or the windowed
+    ``chunk_groups_streamed`` generator for mapped ones (identical
+    chunks, O(window) memory) — so the replay is one ``enqueue_batch``
+    call per (chunk, controller) plus the throttle sample — no
+    per-record Python work at all while the offset is zero.
     """
+    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
+    if packed.mapped:
+        chunks = packed.chunk_groups_streamed(
+            decode, sample, _stream_window(packed)
+        )
+    else:
+        chunks = packed.chunk_groups(
+            layout_key, *decode(packed.np_addresses()), sample
+        )
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
     peak_bus = manager.memory.peak_bus_free_ps
     arrivals = packed.arrivals
-    sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
     demand = DEMAND
     last_ps = 0
     offset = 0
@@ -567,6 +462,119 @@ def _absorb_journal(journal, frame_of, total_pages, merged=None):
     return frame_of
 
 
+def _slice_pusher(manager, packed, bufs):
+    """The vectorised event-free slice pass, shared by the interval
+    engine and THM: returns ``push(i, cut, offset, frame_of,
+    blocked_snap) -> blocked_snap``.
+
+    ``push`` replays records ``[i, cut)`` — a slice the caller has
+    proven holds no event — into the per-controller column buffers
+    ``bufs`` (see :func:`_swap_merged_buffers`):
+
+    * block penalties via binary search against ``blocked_snap``, a
+      sorted ``(pages, untils)`` snapshot of the block table
+      (``blocked_columns``, rebuilt when ``None``), pruned once per
+      slice — state-equivalent to the reference's per-record prune
+      because entries expired for an earlier record yield no penalty
+      for any later one and nothing is added mid-slice;
+    * translation by one gather from the dense page-to-frame view
+      ``frame_of`` (``None`` while no page has moved, see
+      :func:`_absorb_journal`);
+    * one dense decode of the translated addresses
+      (:func:`_hybrid_decode_np` — identity records decode from their
+      original address);
+    * transactions grouped by controller (stable argsort) and appended
+      to the buffers — exact because controllers share no state and
+      per-controller order is preserved.
+
+    It returns the snapshot, or ``None`` when the prune changed the
+    block table and the next slice must rebuild it.
+    """
+    buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
+    decode = _hybrid_decode_np(manager.memory)
+    page_shift = manager._page_shift
+    page_mask = manager._page_mask
+    (page_col,) = packed.np_columns(
+        ("pages", page_shift), (packed.pages(page_shift),)
+    )
+    (arr_col, write_col) = packed.np_columns(
+        ("records",), (packed.arrivals, packed.is_writes)
+    )
+    addr_col = packed.np_addresses()
+    arrivals = packed.arrivals
+    blocked = manager._blocked
+    expiry = manager._blocked_expiry
+    prune_blocked = manager._prune_blocked
+    demand = DEMAND
+    asarray = _np.asarray
+    int64 = _np.int64
+    searchsorted = _np.searchsorted
+    flatnonzero = _np.flatnonzero
+    argsort = _np.argsort
+
+    def push(i, cut, offset, frame_of, blocked_snap):
+        arr = arr_col[i:cut]
+        if offset:
+            arr = arr + offset
+        pg = page_col[i:cut]
+        acct = None
+        if blocked or expiry:
+            if blocked:
+                if blocked_snap is None:
+                    bpages, buntils = manager.blocked_columns()
+                    blocked_snap = (
+                        asarray(bpages, dtype=int64),
+                        asarray(buntils, dtype=int64),
+                    )
+                bpages, buntils = blocked_snap
+                bidx = searchsorted(bpages, pg)
+                _np.minimum(bidx, len(bpages) - 1, out=bidx)
+                bhit = bpages[bidx] == pg
+                if bhit.any():
+                    pen = buntils[bidx[bhit]] - arr[bhit]
+                    stalled = pen > 0
+                    hits = int(stalled.sum())
+                    if hits:
+                        manager.blocked_hits += hits
+                        acct = arr.copy()
+                        acct[flatnonzero(bhit)[stalled]] -= pen[stalled]
+            size = len(blocked)
+            prune_blocked(arrivals[cut - 1] + offset)
+            if len(blocked) != size:
+                blocked_snap = None
+        translated = addr_col[i:cut]
+        if frame_of is not None:
+            frames = frame_of[pg]
+            if (frames != pg).any():
+                translated = (frames << page_shift) | (translated & page_mask)
+        ci, bk, rw = decode(translated)
+        order = argsort(ci, kind="stable")
+        ci_s = ci[order]
+        cuts = flatnonzero(ci_s[1:] != ci_s[:-1]) + 1
+        bounds = [0, *cuts.tolist(), cut - i]
+        ci_l = ci_s.tolist()
+        bk_l = bk[order].tolist()
+        rw_l = rw[order].tolist()
+        wr_l = write_col[i:cut][order].tolist()
+        ar_l = arr[order].tolist()
+        ac_l = ar_l if acct is None else acct[order].tolist()
+        for gi in range(len(bounds) - 1):
+            lo = bounds[gi]
+            hi = bounds[gi + 1]
+            c = ci_l[lo]
+            buf_bk[c].extend(bk_l[lo:hi])
+            buf_rw[c].extend(rw_l[lo:hi])
+            buf_wr[c].extend(wr_l[lo:hi])
+            buf_ar[c].extend(ar_l[lo:hi])
+            buf_ac[c].extend(ac_l[lo:hi])
+            kd = buf_kd[c]
+            if kd is not None:
+                kd.extend([demand] * (hi - lo))
+        return blocked_snap
+
+    return push
+
+
 def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_trackers):
     """Columnar engine shared by the boundary-triggered kernels.
 
@@ -574,36 +582,25 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
     within each throttle chunk, one ``searchsorted`` over the arrival
     column (:meth:`PackedTrace.cut_at`) finds where the next event — an
     interval boundary or a due paced swap — lands, and everything before
-    the cut is one *event-free slice* processed with vectorised column
-    arithmetic:
-
-    * block penalties via binary search against a sorted snapshot of
-      the block table (``blocked_columns``), pruned once per slice —
-      state-equivalent to the reference's per-record prune because
-      entries expired for an earlier record yield no penalty for any
-      later one and nothing is added mid-slice;
-    * translation by one gather from a dense page-to-frame view
-      (``frame_of``, see :func:`_absorb_journal`); when any record has
-      moved, the whole slice's channel/bank/row columns are recomputed
-      densely from the translated addresses (identity records decode
-      identically, so no scatter is needed), otherwise the memoised
-      decode plane is used as is;
-    * transactions grouped by controller (stable argsort) into
-      per-controller column buffers that live across slices and flush
-      through one ``enqueue_batch`` call per controller — exact because
-      controllers share no state and per-controller order is preserved;
-      a due swap *merges* its migration runs into the buffered demand
-      columns through the engine's swap sink (see
-      :func:`_swap_merged_buffers`) instead of flushing them, so only a
-      boundary (whose plans may touch any controller and may stall the
-      machine) and the chunk-end throttle probe flush everything;
-    * tracker updates deferred and flushed in one ``record_batch`` call
-      right before each boundary runs (trackers are only *read* at
-      boundaries and never touch the controllers, so deferral commutes);
-      ``flush_trackers(lo, hi)`` is the kernel-specific hook;
-    * migration traffic batched too: ``engine.batch_swaps`` routes
-      ``swap_pages`` through ``enqueue_batch`` for the kernel's
-      duration.
+    the cut is one *event-free slice*.  A long slice goes through the
+    shared vectorised pass (:func:`_slice_pusher`: block penalties,
+    translation through the dense page-to-frame view, one decode of the
+    translated address slice, grouping by controller); a slice of at
+    most ``_SCALAR_SLICE`` records replays per record through the
+    mappers' ``fast_decode`` instead.  Either way the transactions land
+    in per-controller column buffers that live across slices and flush
+    through one ``enqueue_batch`` call per controller; a due swap
+    *merges* its migration runs into the buffered demand columns
+    through the engine's swap sink (see :func:`_swap_merged_buffers`)
+    instead of flushing them, so only a boundary (whose plans may touch
+    any controller and may stall the machine) and the chunk-end
+    throttle probe flush everything.  Tracker updates are deferred and
+    flushed in one ``record_batch`` call right before each boundary
+    runs (trackers are only *read* at boundaries and never touch the
+    controllers, so deferral commutes); ``flush_trackers(lo, hi)`` is
+    the kernel-specific hook.  Migration traffic is batched too:
+    ``engine.batch_swaps`` routes ``swap_pages`` through
+    ``enqueue_batch`` for the kernel's duration.
 
     At the cut the event fires exactly as the reference per-record check
     would: elapsed boundaries run in order (trackers flushed first),
@@ -619,33 +616,13 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
     ctrls = _hybrid_controllers(memory)
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
     peak_bus = memory.peak_bus_free_ps
-    mapped = packed.mapped
-    if mapped:
-        # Mapped traces never materialise trace-length decode planes:
-        # the vector path decodes each slice from the address column
-        # (identity records decode to exactly the plane values) and the
-        # scalar path decodes inline through the mappers.
-        plane_ctrl = plane_bank = plane_row = None
-        ctrl_col = bank_col = row_col = None
-    else:
-        plane = _hybrid_plane(packed, memory)
-        plane_ctrl, plane_bank, plane_row = plane
-        ctrl_col, bank_col, row_col = packed.np_columns(
-            _hybrid_layout_key(memory), plane
-        )
     page_shift = manager._page_shift
     page_mask = manager._page_mask
     pages_l = packed.pages(page_shift)
-    (page_col,) = packed.np_columns(("pages", page_shift), (pages_l,))
-    (arr_col, write_col) = packed.np_columns(
-        ("records",), (packed.arrivals, packed.is_writes)
-    )
-    addr_col = packed.np_addresses()
     addresses = packed.addresses
     is_writes = packed.is_writes
     blocked = manager._blocked
     expiry = manager._blocked_expiry
-    prune_blocked = manager._prune_blocked
     block_penalty = manager._block_penalty_ps
     fast_decode = memory.fast.mapper.fast_decode
     slow_decode = memory.slow.mapper.fast_decode
@@ -655,19 +632,11 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
     interval = manager.interval_ps
     next_boundary = manager._next_boundary_ps
     fast_bytes = memory.geometry.fast_bytes
-    fm = memory.fast.mapper
-    sm = memory.slow.mapper
     fast_channels = memory.fast.channels
     demand = DEMAND
     engine = manager.engine
     arrivals = packed.arrivals
     cut_at = packed.cut_at
-    asarray = _np.asarray
-    int64 = _np.int64
-    searchsorted = _np.searchsorted
-    flatnonzero = _np.flatnonzero
-    where = _np.where
-    argsort = _np.argsort
     total_pages = memory.geometry.total_pages
 
     # Per-controller column buffers.  Demand accumulates here across
@@ -677,6 +646,7 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
     # controllers share no state — is preserved.
     bufs, flush_ctrl, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
     buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
+    push = _slice_pusher(manager, packed, bufs)
 
     total = packed.length
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
@@ -721,26 +691,16 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
                             block_penalty(page, arrival) if blocked or expiry else 0
                         )
                         frame = remap_get(page)
-                        if frame is None and not mapped:
-                            ck = plane_ctrl[k]
-                            bank = plane_bank[k]
-                            row = plane_row[k]
+                        translated = (
+                            addresses[k]
+                            if frame is None
+                            else (frame << page_shift) | (addresses[k] & page_mask)
+                        )
+                        if translated < fast_bytes:
+                            ck, bank, row = fast_decode(translated)
                         else:
-                            # An identity-mapped record decodes from its
-                            # original address — the plane value by
-                            # definition — so the mapped leg shares the
-                            # translated-decode path.
-                            translated = (
-                                addresses[k]
-                                if frame is None
-                                else (frame << page_shift)
-                                | (addresses[k] & page_mask)
-                            )
-                            if translated < fast_bytes:
-                                ck, bank, row = fast_decode(translated)
-                            else:
-                                ck, bank, row = slow_decode(translated - fast_bytes)
-                                ck += fast_channels
+                            ck, bank, row = slow_decode(translated - fast_bytes)
+                            ck += fast_channels
                         buf_bk[ck].append(bank)
                         buf_rw[ck].append(row)
                         buf_wr[ck].append(is_writes[k])
@@ -753,92 +713,7 @@ def _columnar_interval_replay(trace, packed, manager, throttle_cap_ps, flush_tra
                         blocked_snap = None
                     i = cut
                 elif cut > i:
-                    # -- event-free slice [i, cut) ----------------------
-                    arr = arr_col[i:cut]
-                    if offset:
-                        arr = arr + offset
-                    pg = page_col[i:cut]
-                    acct = None
-                    if blocked or expiry:
-                        if blocked:
-                            if blocked_snap is None:
-                                bpages, buntils = manager.blocked_columns()
-                                blocked_snap = (
-                                    asarray(bpages, dtype=int64),
-                                    asarray(buntils, dtype=int64),
-                                )
-                            bpages, buntils = blocked_snap
-                            bidx = searchsorted(bpages, pg)
-                            _np.minimum(bidx, len(bpages) - 1, out=bidx)
-                            bhit = bpages[bidx] == pg
-                            if bhit.any():
-                                pen = buntils[bidx[bhit]] - arr[bhit]
-                                stalled = pen > 0
-                                hits = int(stalled.sum())
-                                if hits:
-                                    manager.blocked_hits += hits
-                                    acct = arr.copy()
-                                    acct[flatnonzero(bhit)[stalled]] -= pen[stalled]
-                        size = len(blocked)
-                        prune_blocked(arrivals[cut - 1] + offset)
-                        if len(blocked) != size:
-                            blocked_snap = None
-                    translated = None
-                    if frame_of is not None:
-                        frames = frame_of[pg]
-                        if (frames != pg).any():
-                            translated = (frames << page_shift) | (
-                                addr_col[i:cut] & page_mask
-                            )
-                    if translated is None and mapped:
-                        # No remap hit: identity decode of the slice's
-                        # original addresses equals the plane values, so
-                        # the mapped leg reuses the dense-decode path
-                        # below instead of trace-length plane columns.
-                        translated = addr_col[i:cut]
-                    if translated is None:
-                        ci = ctrl_col[i:cut]
-                        bk = bank_col[i:cut]
-                        rw = row_col[i:cut]
-                    else:
-                        is_fast = translated < fast_bytes
-                        off = where(is_fast, translated, translated - fast_bytes)
-                        ci = where(
-                            is_fast,
-                            (off >> fm._bank_shift) & fm._chan_mask,
-                            fast_channels
-                            + ((off >> sm._bank_shift) & sm._chan_mask),
-                        )
-                        bk = where(
-                            is_fast,
-                            (off >> fm._row_shift) & fm._bank_mask,
-                            (off >> sm._row_shift) & sm._bank_mask,
-                        )
-                        rw = where(
-                            is_fast, off >> fm._chan_shift, off >> sm._chan_shift
-                        )
-                    order = argsort(ci, kind="stable")
-                    ci_s = ci[order]
-                    cuts = flatnonzero(ci_s[1:] != ci_s[:-1]) + 1
-                    bounds = [0, *cuts.tolist(), cut - i]
-                    ci_l = ci_s.tolist()
-                    bk_l = bk[order].tolist()
-                    rw_l = rw[order].tolist()
-                    wr_l = write_col[i:cut][order].tolist()
-                    ar_l = arr[order].tolist()
-                    ac_l = ar_l if acct is None else acct[order].tolist()
-                    for gi in range(len(bounds) - 1):
-                        lo = bounds[gi]
-                        hi = bounds[gi + 1]
-                        c = ci_l[lo]
-                        buf_bk[c].extend(bk_l[lo:hi])
-                        buf_rw[c].extend(rw_l[lo:hi])
-                        buf_wr[c].extend(wr_l[lo:hi])
-                        buf_ar[c].extend(ar_l[lo:hi])
-                        buf_ac[c].extend(ac_l[lo:hi])
-                        kd = buf_kd[c]
-                        if kd is not None:
-                            kd.extend([demand] * (hi - lo))
+                    blocked_snap = push(i, cut, offset, frame_of, blocked_snap)
                     i = cut
                 if i >= end:
                     break
@@ -906,7 +781,9 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
     once (see :func:`_columnar_interval_replay`); the MEA updates
     deferred across a slice flush through
     :meth:`~repro.tracking.mea.MeaTracker.record_batch` per pod, each
-    pod seeing exactly its own page subsequence in order.
+    pod seeing exactly its own page subsequence in order.  Pod ids are
+    computed per flushed slice with MemPod's inlined pod-of-page
+    formula.
     """
     shift = manager._page_shift
     (page_col,) = packed.np_columns(("pages", shift), (packed.pages(shift),))
@@ -918,10 +795,7 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
             if hi > lo:
                 only(page_col[lo:hi])
 
-    elif packed.mapped:
-        # Mapped traces compute pod ids per flushed slice with the same
-        # inlined pod-of-page formula as :func:`_mempod_pod_plane`, so
-        # no trace-length pod plane is ever materialised.
+    else:
         fast_pages = manager._fast_pages
         ppr = manager._ppr
         fast_chan = manager._fast_chan
@@ -938,20 +812,6 @@ def _replay_mempod(trace, packed, manager, throttle_cap_ps):
                     ((pages_slice // ppr) % fast_chan) // fast_cpp,
                     (((pages_slice - fast_pages) // ppr) % slow_chan) // slow_cpp,
                 )
-                for pod_id, record_batch in enumerate(record_batches):
-                    member = pages_slice[pods_slice == pod_id]
-                    if len(member):
-                        record_batch(member)
-
-    else:
-        (pod_col,) = packed.np_columns(
-            (_mempod_pod_key(manager),), (_mempod_pod_plane(packed, manager),)
-        )
-
-        def flush_trackers(lo, hi):
-            if hi > lo:
-                pods_slice = pod_col[lo:hi]
-                pages_slice = page_col[lo:hi]
                 for pod_id, record_batch in enumerate(record_batches):
                     member = pages_slice[pods_slice == pod_id]
                     if len(member):
@@ -993,12 +853,13 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     and :meth:`CompetingCounterArray.access_batch` both applies a run of
     counter updates vectorised *and* reports where the first threshold
     crossing lands.  So each throttle chunk replays as: translate the
-    chunk densely (one gather from the dense page-to-frame view, see
-    :func:`_absorb_journal`), classify every record as challenger or
-    defender from its effective frame, let ``access_batch`` find the
-    first trigger, accumulate the trigger-free prefix into
-    per-controller column buffers (penalties, translation), then replay
-    the triggering record itself through the exact scalar path — its
+    rest of the chunk (one gather from the dense page-to-frame view, see
+    :func:`_absorb_journal`), compute each record's segment from its
+    page, classify it as challenger or defender from its effective
+    frame, let ``access_batch`` find the first trigger, push the
+    trigger-free prefix through the shared slice pass
+    (:func:`_slice_pusher`), then replay the triggering record itself
+    through the exact scalar path (decoded through the mappers) — its
     migration's swap traffic merges into the buffered columns through
     the engine's swap sink, and the trigger's own transaction is
     buffered right behind it — and repeat from the next record, after
@@ -1013,35 +874,13 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     batch = [ctrl.enqueue_batch for ctrl in ctrls]
     bufs, flush_ctrl, flush_all, swap_sink = _swap_merged_buffers(ctrls, batch)
     buf_bk, buf_rw, buf_wr, buf_ar, buf_ac, buf_kd = bufs
+    push = _slice_pusher(manager, packed, bufs)
     peak_bus = memory.peak_bus_free_ps
-    mapped = packed.mapped
-    shift = manager._page_shift
-    pages = packed.pages(shift)
+    page_shift = manager._page_shift
+    page_mask = manager._page_mask
+    pages = packed.pages(page_shift)
+    (page_col,) = packed.np_columns(("pages", page_shift), (pages,))
     fast_pages = manager.geometry.fast_pages
-    if mapped:
-        # Mapped traces keep every derived column per-chunk: segments
-        # compute from the page slice (the same ``segment_of`` formula
-        # as :func:`_thm_segment_plane`), the vector path decodes each
-        # slice densely from the address column, and the scalar trigger
-        # path decodes inline — no trace-length plane is materialised.
-        plane_ctrl = plane_bank = plane_row = None
-        ctrl_col = bank_col = row_col = None
-        segments = seg_col = None
-    else:
-        plane = _hybrid_plane(packed, memory)
-        plane_ctrl, plane_bank, plane_row = plane
-        ctrl_col, bank_col, row_col = packed.np_columns(
-            _hybrid_layout_key(memory), plane
-        )
-        segments = _thm_segment_plane(packed, manager)
-        (seg_col,) = packed.np_columns(
-            ("thm-segments", shift, fast_pages), (segments,)
-        )
-    (page_col,) = packed.np_columns(("pages", shift), (pages,))
-    (arr_col, write_col) = packed.np_columns(
-        ("records",), (packed.arrivals, packed.is_writes)
-    )
-    addr_col = packed.np_addresses()
     access_batch = manager.counters.access_batch
     access_resident = manager.counters.access_resident
     access_challenger = manager.counters.access_challenger
@@ -1050,26 +889,16 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     block_penalty = manager._block_penalty_ps
     blocked = manager._blocked
     expiry = manager._blocked_expiry
-    prune_blocked = manager._prune_blocked
-    page_shift = manager._page_shift
-    page_mask = manager._page_mask
     fast_bytes = memory.geometry.fast_bytes
-    fm = memory.fast.mapper
-    sm = memory.slow.mapper
-    fast_decode = fm.fast_decode
-    slow_decode = sm.fast_decode
+    fast_decode = memory.fast.mapper.fast_decode
+    slow_decode = memory.slow.mapper.fast_decode
     fast_channels = memory.fast.channels
     demand = DEMAND
     engine = manager.engine
     arrivals = packed.arrivals
     is_writes = packed.is_writes
     addresses = packed.addresses
-    asarray = _np.asarray
-    int64 = _np.int64
-    searchsorted = _np.searchsorted
-    flatnonzero = _np.flatnonzero
     where = _np.where
-    argsort = _np.argsort
 
     total = packed.length
     sample = THROTTLE_SAMPLE_PERIOD if throttle_cap_ps else 0
@@ -1101,101 +930,11 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
                 # Challenger iff the *effective* frame lives in slow
                 # memory — the same test the scalar path's frame branch
                 # makes (location_get default = identity).
-                seg = (
-                    where(pg < fast_pages, pg, (pg - fast_pages) % fast_pages)
-                    if mapped
-                    else seg_col[i:end]
-                )
+                seg = where(pg < fast_pages, pg, (pg - fast_pages) % fast_pages)
                 trigger = access_batch(seg, pg, frames >= fast_pages)
                 cut = end if trigger is None else i + trigger
                 if cut > i:
-                    # -- trigger-free slice [i, cut) --------------------
-                    m = cut - i
-                    arr = arr_col[i:cut]
-                    if offset:
-                        arr = arr + offset
-                    pslice = pg[:m]
-                    acct = None
-                    if blocked or expiry:
-                        if blocked:
-                            if blocked_snap is None:
-                                bpages, buntils = manager.blocked_columns()
-                                blocked_snap = (
-                                    asarray(bpages, dtype=int64),
-                                    asarray(buntils, dtype=int64),
-                                )
-                            bpages, buntils = blocked_snap
-                            bidx = searchsorted(bpages, pslice)
-                            _np.minimum(bidx, len(bpages) - 1, out=bidx)
-                            bhit = bpages[bidx] == pslice
-                            if bhit.any():
-                                pen = buntils[bidx[bhit]] - arr[bhit]
-                                stalled = pen > 0
-                                hits = int(stalled.sum())
-                                if hits:
-                                    manager.blocked_hits += hits
-                                    acct = arr.copy()
-                                    acct[flatnonzero(bhit)[stalled]] -= pen[stalled]
-                        size = len(blocked)
-                        prune_blocked(arrivals[cut - 1] + offset)
-                        if len(blocked) != size:
-                            blocked_snap = None
-                    if frame_of is not None and (frames[:m] != pslice).any():
-                        translated = (frames[:m] << page_shift) | (
-                            addr_col[i:cut] & page_mask
-                        )
-                    elif mapped:
-                        # No remap hit: identity decode of the original
-                        # addresses equals the plane values, so the
-                        # mapped leg shares the dense-decode path.
-                        translated = addr_col[i:cut]
-                    else:
-                        translated = None
-                    if translated is not None:
-                        is_fast = translated < fast_bytes
-                        off = where(is_fast, translated, translated - fast_bytes)
-                        ci = where(
-                            is_fast,
-                            (off >> fm._bank_shift) & fm._chan_mask,
-                            fast_channels
-                            + ((off >> sm._bank_shift) & sm._chan_mask),
-                        )
-                        bk = where(
-                            is_fast,
-                            (off >> fm._row_shift) & fm._bank_mask,
-                            (off >> sm._row_shift) & sm._bank_mask,
-                        )
-                        rw = where(
-                            is_fast, off >> fm._chan_shift, off >> sm._chan_shift
-                        )
-                    else:
-                        ci = ctrl_col[i:cut]
-                        bk = bank_col[i:cut]
-                        rw = row_col[i:cut]
-                    order = argsort(ci, kind="stable")
-                    ci_s = ci[order]
-                    cuts = flatnonzero(ci_s[1:] != ci_s[:-1]) + 1
-                    bounds = [0, *cuts.tolist(), m]
-                    ci_l = ci_s.tolist()
-                    bk_l = bk[order].tolist()
-                    rw_l = rw[order].tolist()
-                    wr_l = write_col[i:cut][order].tolist()
-                    ar_l = arr[order].tolist()
-                    ac_l = None if acct is None else acct[order].tolist()
-                    for gi in range(len(bounds) - 1):
-                        lo = bounds[gi]
-                        hi = bounds[gi + 1]
-                        c = ci_l[lo]
-                        buf_bk[c].extend(bk_l[lo:hi])
-                        buf_rw[c].extend(rw_l[lo:hi])
-                        buf_wr[c].extend(wr_l[lo:hi])
-                        buf_ar[c].extend(ar_l[lo:hi])
-                        buf_ac[c].extend(
-                            ar_l[lo:hi] if ac_l is None else ac_l[lo:hi]
-                        )
-                        kd = buf_kd[c]
-                        if kd is not None:
-                            kd.extend([demand] * (hi - lo))
+                    blocked_snap = push(i, cut, offset, frame_of, blocked_snap)
                     i = cut
                 if trigger is None:
                     break
@@ -1203,9 +942,7 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
                 arrival = arrivals[i] + offset
                 page = pages[i]
                 segment = (
-                    (page if page < fast_pages else (page - fast_pages) % fast_pages)
-                    if mapped
-                    else segments[i]
+                    page if page < fast_pages else (page - fast_pages) % fast_pages
                 )
                 if blocked or expiry:
                     bsize = len(blocked)
@@ -1227,24 +964,16 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
                         frame = location_get(page, page)
                         if journal:
                             blocked_snap = None
-                if frame is None and not mapped:
-                    ci = plane_ctrl[i]
-                    bank = plane_bank[i]
-                    row = plane_row[i]
+                translated = (
+                    addresses[i]
+                    if frame is None
+                    else (frame << page_shift) | (addresses[i] & page_mask)
+                )
+                if translated < fast_bytes:
+                    ci, bank, row = fast_decode(translated)
                 else:
-                    # Identity-mapped records decode from the original
-                    # address — the plane value by definition — so the
-                    # mapped leg shares the translated-decode path.
-                    translated = (
-                        addresses[i]
-                        if frame is None
-                        else (frame << page_shift) | (addresses[i] & page_mask)
-                    )
-                    if translated < fast_bytes:
-                        ci, bank, row = fast_decode(translated)
-                    else:
-                        ci, bank, row = slow_decode(translated - fast_bytes)
-                        ci += fast_channels
+                    ci, bank, row = slow_decode(translated - fast_bytes)
+                    ci += fast_channels
                 # The trigger record lands in the buffer *after* any
                 # swap traffic its migration merged through the sink —
                 # exactly the reference's per-controller enqueue order.
@@ -1281,19 +1010,21 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     """CAMEO without the location predictor.
 
     Fast path: an identity-mapped fast-resident line that is not on the
-    untouched list — serve it directly (the decode plane is computed
-    from the original address, whose low six line-offset bits sit below
-    every mapper shift, so channel/bank/row match ``line * 64``
-    exactly).  Everything else — any slow access (it always swaps), any
-    remapped line, any untouched-list hit — replays through the real
-    ``handle`` so the swap/eviction bookkeeping stays exact.
+    untouched list — serve it directly (channel/bank/row decode from
+    the original address, whose low six line-offset bits sit below
+    every mapper shift, so they match ``line * 64`` exactly).
+    Everything else — any slow access (it always swaps), any remapped
+    line, any untouched-list hit — replays through the real ``handle``
+    so the swap/eviction bookkeeping stays exact.  Line numbers and
+    decodes are computed once per :func:`_stream_window` window, so no
+    trace-length column is built; the record stream chains the windows,
+    so throttle chunks (or the one unthrottled chunk) may span them.
     """
     memory = manager.memory
     ctrls = _hybrid_controllers(memory)
     enqueues = [ctrl.enqueue for ctrl in ctrls]
     peak_bus = memory.peak_bus_free_ps
-    plane_ctrl, plane_bank, plane_row = _hybrid_plane(packed, memory)
-    lines = packed.pages(LINE_SHIFT)
+    decode = _hybrid_decode_np(memory)
     location_get = manager._location.get
     untouched = manager._untouched_in_fast
     fast_lines = manager.fast_lines
@@ -1304,11 +1035,23 @@ def _replay_cameo(trace, packed, manager, throttle_cap_ps):
     demand = DEMAND
 
     arrivals = packed.arrivals
-    records = zip(
-        arrivals, packed.is_writes, packed.addresses, packed.cores, lines,
-        plane_ctrl, plane_bank, plane_row,
-    )
+    addr_col = packed.np_addresses()
     total = packed.length
+    window = _stream_window(packed)
+
+    def windows():
+        for begin in range(0, total, window):
+            stop = begin + window
+            block = addr_col[begin:stop]
+            ci, bank, row = decode(block)
+            yield zip(
+                arrivals[begin:stop], packed.is_writes[begin:stop],
+                packed.addresses[begin:stop], packed.cores[begin:stop],
+                (block >> LINE_SHIFT).tolist(),
+                ci.tolist(), bank.tolist(), row.tolist(),
+            )
+
+    records = chain.from_iterable(windows())
     last_ps = 0
     offset = 0
     pos = 0
@@ -1456,10 +1199,12 @@ def fast_simulate(trace, manager, throttle_cap_ps=DEFAULT_THROTTLE_CAP_PS):
     if kernel is None:
         return reference_simulate(trace, manager, throttle_cap_ps)
     packed = trace.packed()
-    if packed.max_address >= manager.geometry.total_bytes:
+    if packed.length and packed.np_addresses().max() >= manager.geometry.total_bytes:
         # The direct enqueues bypass memory.access bounds checking; an
         # out-of-range record must raise AddressError at exactly the
         # reference loop's point of failure, so replay it the slow way.
+        # The bound is the address column's own maximum, never a file
+        # header's claim about it.
         last_dispatch = "fallback:out-of-range-address"
         return reference_simulate(trace, manager, throttle_cap_ps)
     return kernel(trace, packed, manager, throttle_cap_ps)

@@ -31,9 +31,10 @@ followed by five int64 column planes::
         16     8  page_bytes, u64 — the migration page size the
                   addresses were laid out for
         24     8  count, u64 — number of records
-        32     8  max_address, i64 — maximum address column value
-                  (-1 when count == 0), stored so replay dispatch
-                  (fast_simulate's bounds gate) never scans the file
+        32     8  max_address, i64 — maximum address column value;
+                  -1 if and only if count == 0, otherwise >= 0.
+                  Informational (``repro trace info``): replay's
+                  bounds gate scans the address plane, not this field
         40    80  plane directory: 5 entries x 16 bytes, each
                     +0  8  plane name, NUL-padded ASCII: "arrival",
                            "address", "iswrite", "core", "page"
@@ -315,7 +316,9 @@ def read_columnar_header(path: PathLike) -> ColumnarInfo:
         )
     if page_bytes <= 0:
         raise TraceError(f"{path}: invalid page_bytes {page_bytes}")
-    if (count == 0) != (max_address == -1) and max_address < 0:
+    # -1 marks an empty trace and only an empty one; any other value
+    # must be a real (non-negative) address.
+    if (count == 0) != (max_address == -1) or max_address < -1:
         raise TraceError(f"{path}: invalid max_address {max_address}")
     for index, plane_name in enumerate(PLANE_NAMES):
         raw_name, dtype_code, reserved = _PLANE_DIR.unpack_from(

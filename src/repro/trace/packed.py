@@ -8,10 +8,14 @@ as parallel columns (plain lists — the fastest thing CPython iterates)
 plus memoised derived columns:
 
 * page numbers for any page-size shift (``pages``),
-* per-memory-layout address decode planes (channel/bank/row), cached in
-  :attr:`planes` under a layout key chosen by the kernel.
+* int64 views of the columns (``np_addresses``, ``np_columns``) and the
+  per-controller chunk grouping of the direct kernels
+  (``chunk_groups``), cached in :attr:`planes` under keys chosen by the
+  kernel.
 
-Derived columns are computed vectorised through numpy.
+Derived columns are computed vectorised through numpy.  Address decodes
+(channel/bank/row) are not stored here: the kernels compute them from
+the address column with one formula per memory kind.
 
 A packed trace is a *view* of an immutable record list: it is built
 once per :class:`Trace` (see :meth:`Trace.packed`) and assumes the
@@ -24,9 +28,12 @@ Mapped traces
 over the int64 planes of a v2 columnar trace file (see
 :mod:`repro.trace.io`), typically ``np.memmap`` views: opening is O(1)
 and the OS pages record data in on demand.  Such a trace is *mapped*
-(:attr:`mapped` is true) and the replay kernels switch to streaming —
-decode planes are computed per bounded window instead of trace-length
-lists, so peak RSS stays flat for traces much larger than memory.
+(:attr:`mapped` is true).  The direct kernels then group through the
+windowed :meth:`chunk_groups_streamed` instead of the memoised
+:meth:`chunk_groups`, and no kernel builds a trace-length decode
+column for it, so the trace's own footprint stays bounded by the
+window for traces much larger than memory (:meth:`pages` notes the
+one exception, a page shift other than the stored one).
 Columns are wrapped in :class:`_IntColumn` so every scalar read is a
 plain Python int (numpy scalar types must never leak into controller
 stats — the JSON result cache cannot serialise them)."""
@@ -86,7 +93,7 @@ def _as_int64(column):
 
 
 class PackedTrace:
-    """Columnar view of a trace's records with memoised decode planes."""
+    """Columnar view of a trace's records with memoised derived columns."""
 
     __slots__ = (
         "length",
@@ -113,7 +120,7 @@ class PackedTrace:
         self.is_writes: List[int] = is_writes
         self.cores: List[int] = cores
         self.max_address: int = max(addresses) if addresses else -1
-        #: kernel-managed cache: memory-layout key -> decode plane tuple
+        #: kernel-managed cache: key -> derived columns / chunk groups
         self.planes: Dict[tuple, tuple] = {}
         #: true when the columns are views of an on-disk columnar file
         self.mapped: bool = False
@@ -160,7 +167,7 @@ class PackedTrace:
 
     def np_addresses(self):
         """The address column as an int64 numpy array; built once and
-        reused by every plane computation."""
+        reused by every decode."""
         if self._np_addresses is None:
             self._np_addresses = _np.asarray(self.addresses, dtype=_np.int64)
         return self._np_addresses
@@ -170,9 +177,10 @@ class PackedTrace:
         (memoised per shift — managers at different page sizes coexist).
 
         Mapped traces serve the stored shift as a zero-copy view of the
-        on-disk page plane; other shifts (only CAMEO's line shift in
-        practice) are computed once into an int64 array and wrapped, an
-        O(length) allocation documented as outside the flat-RSS claim.
+        on-disk page plane; another shift (a manager whose page size
+        differs from the trace's) is computed once into an int64 array
+        and wrapped, an O(length) allocation outside the flat-RSS
+        claim.
         """
         cached = self._pages.get(page_shift)
         if cached is None:
@@ -199,9 +207,9 @@ class PackedTrace:
         """``columns`` as int64 numpy arrays, memoised under
         ``("np", key)`` in :attr:`planes`.
 
-        The chunk-sliced kernels index decode planes with fancy masks
-        and vectorised arithmetic; converting the memoised list planes
-        once per (trace, layout) keeps that off the per-slice path.
+        The chunk-sliced kernels index page and record columns with
+        fancy masks and vectorised arithmetic; converting the list
+        columns once per trace keeps that off the per-slice path.
         Columns already backed by arrays (mapped traces hand in
         :class:`_IntColumn` views) pass through zero-copy.
         """
@@ -274,8 +282,8 @@ class PackedTrace:
         """Windowed generator form of :meth:`chunk_groups` for mapped
         traces.
 
-        Instead of consuming precomputed trace-length decode planes, it
-        decodes ``window`` records at a time through ``decode`` (an
+        Instead of consuming precomputed trace-length decode columns,
+        it decodes ``window`` records at a time through ``decode`` (an
         ``int64 address array -> (ctrl, bank, row) arrays`` callable)
         and yields the same ``(record_count, groups)`` chunks, so peak
         memory is O(window) regardless of trace length.  Exactness:

@@ -221,8 +221,8 @@ class TestWritebackAcceptance:
 
 class TestTwinParity:
     """The functions the twin-parity rule used to guard alone (the
-    migrating kernels, plane builders, MEA per-record loop, and trace
-    codecs) are fingerprinted in ``kernel_manifest.json`` like every
+    migrating kernels, their shared slice pass and decode formulas, MEA
+    per-record loop, and trace codecs) are fingerprinted in ``kernel_manifest.json`` like every
     other function the fast kernel depends on; each drift check fires
     on them."""
 
@@ -230,10 +230,9 @@ class TestTwinParity:
         "repro/kernel/replay.py::_replay_mempod",
         "repro/kernel/replay.py::_replay_hma",
         "repro/kernel/replay.py::_replay_thm",
-        "repro/kernel/replay.py::_single_plane",
-        "repro/kernel/replay.py::_hybrid_plane",
-        "repro/kernel/replay.py::_mempod_pod_plane",
-        "repro/kernel/replay.py::_thm_segment_plane",
+        "repro/kernel/replay.py::_slice_pusher",
+        "repro/kernel/replay.py::_single_decode_np",
+        "repro/kernel/replay.py::_hybrid_decode_np",
         "repro/tracking/mea.py::MeaTracker._record_loop",
         "repro/trace/io.py::_encode_records_v1",
         "repro/trace/io.py::_decode_records_v1",
@@ -244,7 +243,7 @@ class TestTwinParity:
     def test_shipped_tree_clean(self):
         assert check_kernel_manifest() == []
         manifest = load_kernel_manifest()
-        assert len(manifest) == len(KERNEL_FINGERPRINT_FUNCTIONS) == 62
+        assert len(manifest) == len(KERNEL_FINGERPRINT_FUNCTIONS) == 59
         assert set(self.SIDES) <= set(manifest)
 
     def test_manifest_round_trip(self, tmp_path):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ConfigError, TraceError
+from repro.common.errors import AddressError, ConfigError, TraceError
 from repro.experiments.common import ExperimentConfig, clear_trace_cache, trace_for
 from repro.geometry import scaled_geometry
 from repro.system.simulator import (
@@ -62,13 +62,15 @@ def _records(trace):
 GOLDEN_RECORDS = [(0, 0, 0, -1), (10, 4096 + 64, 1, 0), (2**40, 2**33, 0, 7)]
 
 
-def _golden_columnar(records, page_bytes):
+def _golden_columnar(records, page_bytes, max_address=None):
     """The v2 file for ``records`` packed by hand: header, five plane
     directory entries, zero padding to 1024 bytes, then one ``<q`` plane
-    per column zero-padded to a whole 128-record chunk."""
+    per column zero-padded to a whole 128-record chunk.  ``max_address``
+    overrides the header field (default: the true maximum)."""
     count = len(records)
     stride = -(-count // 128) * 128
-    max_address = max((r[1] for r in records), default=-1)
+    if max_address is None:
+        max_address = max((r[1] for r in records), default=-1)
     head = struct.pack("<8sIIQQq", b"MPTRACE2", 2, 5, page_bytes, count, max_address)
     for name in ("arrival", "address", "iswrite", "core", "page"):
         head += struct.pack("<8s4sI", name.encode("ascii"), b"<i8", 0)
@@ -208,6 +210,19 @@ class TestColumnarFormat:
         assert loaded.page_bytes == 2048
         assert _records(loaded) == GOLDEN_RECORDS
         assert list(loaded.packed().pages(11)) == [r[1] // 2048 for r in GOLDEN_RECORDS]
+
+    @pytest.mark.parametrize(
+        "records, max_address",
+        [(GOLDEN_RECORDS, -7), (GOLDEN_RECORDS, -1), ([], 5), ([], -2)],
+        ids=["nonempty-negative", "nonempty-minus-one", "empty-positive",
+             "empty-below-minus-one"],
+    )
+    def test_max_address_rule(self, records, max_address, tmp_path):
+        # -1 if and only if the trace is empty, otherwise non-negative.
+        path = tmp_path / "lie.mpt"
+        path.write_bytes(_golden_columnar(records, 2048, max_address))
+        with pytest.raises(TraceError, match="max_address"):
+            read_columnar_header(path)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -464,13 +479,47 @@ class TestMappedReplayDifferential:
         actual = simulate(mapped, build_manager(kind, geometry))
         assert actual == expected
 
-    @pytest.mark.parametrize("kind", ["tlm", "mempod", "thm"])
+    @pytest.mark.parametrize("kind", ["tlm", "mempod", "hma", "thm", "cameo"])
     @pytest.mark.parametrize("window", [128, 512, 1920])
     def test_windows_identical(self, pair, kind, window):
+        # Mapped and in-memory replays share their decode code, so the
+        # mapped run is held against the reference loop, not the
+        # in-memory kernel.
         geometry, trace, path = pair
         mapped = open_columnar(path, name=trace.name, window=window)
-        expected = simulate(trace, build_manager(kind, geometry))
+        expected = reference_simulate(trace, build_manager(kind, geometry))
         assert simulate(mapped, build_manager(kind, geometry)) == expected
+
+    @pytest.mark.parametrize("window", [128, 1920])
+    def test_unthrottled_cameo_spans_windows(self, pair, window):
+        # With the throttle off one chunk is the whole trace, so CAMEO's
+        # record stream must chain its decode windows mid-chunk.
+        geometry, trace, path = pair
+        mapped = open_columnar(path, name=trace.name, window=window)
+        expected = reference_simulate(
+            trace, build_manager("cameo", geometry), throttle_cap_ps=0
+        )
+        actual = simulate(
+            mapped, build_manager("cameo", geometry), throttle_cap_ps=0
+        )
+        assert actual == expected
+
+    def test_lying_header_cannot_hide_out_of_range(self, tmp_path):
+        # The header claims max_address 4096; the address plane holds a
+        # record one line past the flat space.  Both kernels must raise.
+        from repro.kernel import replay
+
+        geometry = scaled_geometry(64)
+        page_bytes = geometry.page_bytes
+        records = [(0, 0, 0, 0), (10, geometry.total_bytes + 64, 1, 0)]
+        path = tmp_path / "lie.mpt"
+        path.write_bytes(_golden_columnar(records, page_bytes, max_address=4096))
+        with pytest.raises(AddressError):
+            simulate(open_columnar(path), build_manager("mempod", geometry),
+                     kernel="fast")
+        assert replay.last_dispatch == "fallback:out-of-range-address"
+        with pytest.raises(AddressError):
+            reference_simulate(open_columnar(path), build_manager("mempod", geometry))
 
     @pytest.mark.parametrize("kind", ["mempod", "cameo"])
     def test_reference_kernel_identical(self, pair, kind):
