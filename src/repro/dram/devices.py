@@ -119,7 +119,6 @@ class MemoryDevice:
         ranks: int,
         banks: int,
         row_bytes: int = ROW_BYTES,
-        window: int = 8,
     ) -> None:
         require_positive_int("channels", channels)
         self.name = name
@@ -133,7 +132,7 @@ class MemoryDevice:
             row_bytes=row_bytes,
         )
         self.controllers: List[ChannelController] = [
-            ChannelController(timing, self.mapper.banks_per_channel, window=window)
+            ChannelController(timing, self.mapper.banks_per_channel)
             for _ in range(channels)
         ]
 
@@ -195,7 +194,7 @@ class MemoryDevice:
         return hits / total if total else 0.0
 
 
-def hbm_device(window: int = 8, timing: DramTiming = HBM_TIMING) -> MemoryDevice:
+def hbm_device(timing: DramTiming = HBM_TIMING) -> MemoryDevice:
     """Table 2 die-stacked HBM: 1 GB, 8 channels, 16 banks, 8 KB rows."""
     return MemoryDevice(
         name=timing.name,
@@ -204,11 +203,10 @@ def hbm_device(window: int = 8, timing: DramTiming = HBM_TIMING) -> MemoryDevice
         channels=8,
         ranks=1,
         banks=16,
-        window=window,
     )
 
 
-def ddr4_device(window: int = 8, timing: DramTiming = DDR4_1600_TIMING) -> MemoryDevice:
+def ddr4_device(timing: DramTiming = DDR4_1600_TIMING) -> MemoryDevice:
     """Table 2 off-chip DDR4: 8 GB, 4 channels, 16 banks, 8 KB rows."""
     return MemoryDevice(
         name=timing.name,
@@ -217,11 +215,10 @@ def ddr4_device(window: int = 8, timing: DramTiming = DDR4_1600_TIMING) -> Memor
         channels=4,
         ranks=1,
         banks=16,
-        window=window,
     )
 
 
-def hbm_only_device(window: int = 8, timing: DramTiming = HBM_TIMING) -> MemoryDevice:
+def hbm_only_device(timing: DramTiming = HBM_TIMING) -> MemoryDevice:
     """The paper's 9 GB HBM-only upper-bound configuration.
 
     Capacity is rounded up to 16 GB (the nearest power of two holding
@@ -236,11 +233,10 @@ def hbm_only_device(window: int = 8, timing: DramTiming = HBM_TIMING) -> MemoryD
         channels=8,
         ranks=1,
         banks=16,
-        window=window,
     )
 
 
-def ddr4_only_device(window: int = 8, timing: DramTiming = DDR4_2400_TIMING) -> MemoryDevice:
+def ddr4_only_device(timing: DramTiming = DDR4_2400_TIMING) -> MemoryDevice:
     """The Section 6.3.4 9 GB DDR4-2400-only baseline (16 GB mapper)."""
     return MemoryDevice(
         name=f"{timing.name}-only",
@@ -249,5 +245,4 @@ def ddr4_only_device(window: int = 8, timing: DramTiming = DDR4_2400_TIMING) -> 
         channels=4,
         ranks=1,
         banks=16,
-        window=window,
     )

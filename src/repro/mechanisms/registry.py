@@ -111,7 +111,6 @@ def mechanism_names() -> Tuple[str, ...]:
 def _build_descriptor_memory(
     spec: MechanismSpec,
     geometry: MemoryGeometry,
-    window: int,
 ) -> "tuple[TieredMemory, MemoryGeometry]":
     """Construct the memory system for a tuple ``memory_kind`` descriptor.
 
@@ -144,7 +143,7 @@ def _build_descriptor_memory(
     if len(plan) == 1:
         _, channels, timing = plan[0]
         memory = SingleLevelMemory(
-            geometry, timing=timing, channels=channels, window=window
+            geometry, timing=timing, channels=channels
         )
         return memory, geometry
 
@@ -161,7 +160,7 @@ def _build_descriptor_memory(
     )
     devices = [
         build_device(timing.name, timing, tier_bytes, channels,
-                     tier_geometry, window)
+                     tier_geometry)
         for tier_bytes, channels, timing in plan
     ]
     spans = [tier_bytes for tier_bytes, _, _ in plan]
@@ -172,7 +171,6 @@ def build_manager(
     kind: str,
     geometry: MemoryGeometry,
     future_tech: bool = False,
-    window: int = 8,
     **params,
 ) -> MemoryManager:
     """Construct the memory system and manager for mechanism ``kind``.
@@ -195,20 +193,16 @@ def build_manager(
 
     manager_geometry = geometry
     if isinstance(spec.memory_kind, tuple):
-        memory, manager_geometry = _build_descriptor_memory(
-            spec, geometry, window
-        )
+        memory, manager_geometry = _build_descriptor_memory(spec, geometry)
     elif spec.memory_kind == "fast-only":
-        memory = SingleLevelMemory(geometry, timing=fast_timing, window=window)
+        memory = SingleLevelMemory(geometry, timing=fast_timing)
     elif spec.memory_kind == "slow-only":
         memory = SingleLevelMemory(
-            geometry, timing=slow_timing, channels=geometry.slow_channels,
-            window=window,
+            geometry, timing=slow_timing, channels=geometry.slow_channels
         )
     else:
         memory = HybridMemory(
-            geometry, fast_timing=fast_timing, slow_timing=slow_timing,
-            window=window,
+            geometry, fast_timing=fast_timing, slow_timing=slow_timing
         )
     manager = spec.factory(memory, manager_geometry, **params)
     manager.swap_tiers = spec.resolved_swap_tiers()

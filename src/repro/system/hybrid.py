@@ -35,7 +35,6 @@ def build_device(
     capacity_bytes: int,
     channels: int,
     geometry: MemoryGeometry,
-    window: int = 8,
 ) -> MemoryDevice:
     """Construct a device with the geometry's bank/rank/row shape."""
     return MemoryDevice(
@@ -46,7 +45,6 @@ def build_device(
         ranks=geometry.ranks,
         banks=geometry.banks,
         row_bytes=geometry.row_bytes,
-        window=window,
     )
 
 
@@ -243,15 +241,14 @@ class HybridMemory(TieredMemory):
         geometry: MemoryGeometry,
         fast_timing: DramTiming = HBM_TIMING,
         slow_timing: DramTiming = DDR4_1600_TIMING,
-        window: int = 8,
     ) -> None:
         fast = build_device(
             fast_timing.name, fast_timing, geometry.fast_bytes, geometry.fast_channels,
-            geometry, window,
+            geometry,
         )
         slow = build_device(
             slow_timing.name, slow_timing, geometry.slow_bytes, geometry.slow_channels,
-            geometry, window,
+            geometry,
         )
         super().__init__(
             geometry, [fast, slow], [geometry.fast_bytes, geometry.slow_bytes]
@@ -272,7 +269,6 @@ class SingleLevelMemory(TieredMemory):
         geometry: MemoryGeometry,
         timing: DramTiming = HBM_TIMING,
         channels: Optional[int] = None,
-        window: int = 8,
     ) -> None:
         capacity = 1
         while capacity < geometry.total_bytes:
@@ -283,6 +279,5 @@ class SingleLevelMemory(TieredMemory):
             capacity,
             channels if channels is not None else geometry.fast_channels,
             geometry,
-            window,
         )
         super().__init__(geometry, [device], [geometry.total_bytes])

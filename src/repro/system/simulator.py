@@ -148,7 +148,6 @@ def run(
     kind: str,
     geometry: MemoryGeometry,
     future_tech: bool = False,
-    window: int = 8,
     throttle_cap_ps: int = DEFAULT_THROTTLE_CAP_PS,
     kernel: Optional[str] = None,
     sanitize: Optional[bool] = None,
@@ -156,7 +155,7 @@ def run(
 ) -> SimulationResult:
     """One-call convenience: build the manager and replay the trace."""
     manager = build_manager(
-        kind, geometry, future_tech=future_tech, window=window, **params
+        kind, geometry, future_tech=future_tech, **params
     )
     return simulate(
         trace, manager, throttle_cap_ps=throttle_cap_ps, kernel=kernel,

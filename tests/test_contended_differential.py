@@ -1,8 +1,8 @@
 """Randomized differential stress for the contended service engine.
 
-PR 7's episode classifier and indexed scheduler replace the scalar
-``_choose`` drain inside ``enqueue_batch``'s contended path.  The unit
-suite (``test_dram_controller_batch.py``) pins each precondition in
+``enqueue_batch``'s contended path layers a closed-form episode
+classifier over an inline ``_choose`` scan of the pending list, and
+window-1 controllers replay ``enqueue`` itself.  The unit suite (``test_dram_controller_batch.py``) pins each precondition in
 isolation; this suite generates *adversarial composites* — seeded
 random interleavings of the exact shapes that sit on the episode
 boundaries:
@@ -150,8 +150,8 @@ def assert_batch_matches(requests, timing, window):
 class TestAdversarialStretches:
     @pytest.mark.parametrize("timing", [HBM_TIMING, DDR4_1600_TIMING],
                              ids=lambda t: t.name)
-    # 32 > SCAN_WINDOW_MAX so the dict+deque indexed engine (not the
-    # list-scan engine) is the one proven equivalent at that width.
+    # Window 32 proves the one contended engine (the list scan) beyond
+    # the paper's window of 8.
     @pytest.mark.parametrize("window", [1, 2, 8, 16, 32])
     @pytest.mark.parametrize("seed", [101, 202, 303])
     def test_snapshot_equality(self, timing, window, seed):

@@ -384,14 +384,15 @@ class TestLazyRefresh:
 
 class TestServiceEngine:
     """The contended-path service engine: closed-form episodes, the
-    indexed scheduler, and the observability sidecar.
+    scan drain, and the observability sidecar.
 
     End-state equality is covered by every ``run_pair`` above; these
     tests pin the *internals*: that the episode classifier actually
-    fires on its degenerate shape, that the indexed scheduler makes the
-    same decision as the scalar ``_choose`` reference on every single
-    service, and that the sidecar counters are conserved and invisible
-    to result snapshots.
+    fires on its degenerate shape, that the scan drain (the inline
+    ``_choose``) leaves the controller exactly where the scalar
+    reference does after every single element, at the paper's window
+    and beyond it, and that the sidecar counters are conserved and
+    invisible to result snapshots.
     """
 
     def test_episode_shape_uses_closed_form(self):
@@ -409,8 +410,8 @@ class TestServiceEngine:
 
     def test_episode_bails_on_direction_flip(self):
         # A write twin arriving into a read backlog breaks the
-        # degenerate shape: the engine must fall back to the indexed
-        # per-element path at the turnaround, not mis-serve the episode.
+        # degenerate shape: the engine must fall back to the
+        # per-element scan drain at the turnaround, not mis-serve the episode.
         requests = [(2, 7, 0, 9_000)] * 40 + [(2, 7, 1, 9_000)] * 40
         run_pair(requests)
 
@@ -453,31 +454,34 @@ class TestServiceEngine:
             1 for k in kinds if k == MIGRATION
         )
 
-    def test_indexed_scheduler_matches_choose_per_decision(self):
-        # Not just end-state equality: the indexed engine must pick the
-        # *same entry* as the scalar _choose reference at every single
-        # service decision, in order.
+    @pytest.mark.parametrize("window", [1, 8, 32])
+    def test_indexed_scheduler_matches_choose_per_decision(self, window):
+        # Not just end-state equality: fed one element per call, the
+        # batched engine must leave the controller -- pending list
+        # included -- exactly where the scalar reference leaves it after
+        # every element, so each element's service decisions match the
+        # reference _choose in order.  The reference records its
+        # decisions to prove there were decisions to match.
         class Recording(ChannelController):
             def __init__(self, *a, **kw):
                 super().__init__(*a, **kw)
                 self.serviced = []
 
-            def _service(self, entry):
-                self.serviced.append(entry)
-                return super()._service(entry)
+            def _service_at(self, chosen_idx):
+                self.serviced.append(self._pending[chosen_idx])
+                return super()._service_at(chosen_idx)
 
         for seed in (41, 42, 43):
             requests = random_requests(seed, 1_200, spacing=800)
-            one = Recording(HBM_TIMING, BANKS)
+            one = Recording(HBM_TIMING, BANKS, window=window)
+            many = ChannelController(HBM_TIMING, BANKS, window=window)
             for bank, row, is_write, arrival in requests:
                 one.enqueue(bank, row, is_write, arrival)
-            many = Recording(HBM_TIMING, BANKS)
-            bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
-            many.enqueue_batch(bank_col, row_col, write_col, arrival_col)
-            assert many.serviced == one.serviced
-            one.flush()
-            many.flush()
-            assert many.serviced == one.serviced
+                many.enqueue_batch([bank], [row], [is_write], [arrival])
+                assert snapshot(many) == snapshot(one)
+            assert one.serviced
+            assert one.flush() == many.flush()
+            assert snapshot(many) == snapshot(one)
 
     def test_sidecar_counters_are_conserved(self):
         requests = random_requests(19, 2_000, spacing=400)

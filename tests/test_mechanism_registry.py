@@ -84,8 +84,12 @@ class TestParamValidation:
             build_manager("mempod", geometry, bogus=1)
 
     def test_unknown_param_names_offender(self, geometry):
-        with pytest.raises(ConfigError, match="bogus"):
-            build_manager("thm", geometry, bogus=1)
+        # ``window`` is no longer a build_manager knob (every controller
+        # runs the paper's window of 8), so it is rejected like any
+        # other stray name instead of silently building other controllers.
+        for name, value in (("bogus", 1), ("window", 4)):
+            with pytest.raises(ConfigError, match=name):
+                build_manager("thm", geometry, **{name: value})
 
     def test_paramless_mechanism_says_none(self, geometry):
         with pytest.raises(ConfigError, match="none"):
