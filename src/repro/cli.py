@@ -354,7 +354,7 @@ def _cmd_profile_replay(
             paths = fast_manager.memory.merged_service_paths()
             lines.append(
                 f"             batched services: "
-                f"closed-form {paths.closed_form_served:,}, "
+                f"closed-form run {paths.closed_form_served:,}, "
                 f"per-element {paths.indexed_served:,}, "
                 f"scalar-fallback {paths.scalar_fallback_served:,}"
             )

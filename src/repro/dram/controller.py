@@ -24,24 +24,27 @@ the pending buffer holds plain tuples
 ``(arrival_ps, account_ps, bank, row, is_write, kind)`` rather than
 objects, and the scheduling loops keep their state in locals.
 
-Two service datapaths share the same semantics:
+Three service datapaths share the same semantics:
 
 * :meth:`ChannelController.enqueue` — the reference path, one
   transaction per call;
 * :meth:`ChannelController.enqueue_batch` — the columnar path the
   replay kernels use: whole per-controller columns handed down at once,
   serviced with controller, bank, and stats state hoisted into locals,
-  an idle-channel drain fast path for the uncontended common case,
-  run-length row-hit streaming, and one contended engine (the
-  reference pending list scanned by an inline ``_choose``, plus
-  closed-form backlog episodes) for every window; FCFS (window-1)
-  controllers replay ``enqueue`` itself.  It must stay bit-for-bit
-  equal to calling ``enqueue`` per element —
-  ``tests/test_dram_controller_batch.py``
-  and the kernel differential suite enforce it, and the scheduling
-  functions it inlines (``enqueue``, ``_choose``, ``_service_at``,
-  ``Bank.access``) are fingerprinted in the kernel manifest so edits
-  there fail ``repro lint`` until re-proven.
+  an idle-channel drain fast path for the uncontended common case and
+  one exact per-element drain (the reference pending list scanned by
+  an inline ``_choose``) for contended stretches; FCFS (window-1)
+  controllers replay ``enqueue`` itself;
+* :meth:`ChannelController.enqueue_run` — ``count`` identical
+  transactions (the swap datapath's page-copy runs), whose steady
+  state is served in closed form as an arithmetic series.
+
+The batched paths must stay bit-for-bit equal to calling ``enqueue``
+per element — ``tests/test_dram_controller_batch.py`` and the kernel
+differential suite enforce it, and the scheduling functions they
+inline (``enqueue``, ``_choose``, ``_service_at``, ``Bank.access``)
+are fingerprinted in the kernel manifest so edits there fail
+``repro lint`` until re-proven.
 
 Controllers also report *dirty-channel* hints: every entry point that
 may advance the data bus adds the controller's key to a sink set shared
@@ -138,8 +141,8 @@ class ServicePathStats:
     a replay was without perturbing :class:`ControllerStats` or the
     differential state snapshots.  They never feed a simulation result.
 
-    * ``closed_form_served`` — serviced by a closed-form backlog
-      episode (arithmetic-series timing, no per-element scheduling);
+    * ``closed_form_served`` — served by ``enqueue_run``'s closed-form
+      tail (arithmetic-series timing, no per-element scheduling);
     * ``indexed_served`` — serviced per element by the contended
       engine's scan drain (the inline ``_choose`` over the pending
       list) inside a contended stretch;
@@ -310,22 +313,19 @@ class ChannelController:
           service start, the scheduler provably services the older
           transaction immediately (the window never fills), so the loop
           keeps the single in-flight transaction in locals and never
-          touches the pending buffer; consecutive same-bank same-row
-          transactions stream as a run-length row-hit burst with the
-          bank's fields cached in locals too.
-        * **contended stretches** — the window-bounded FR-FCFS drain
-          (``_choose`` + ``_service_at`` semantics) over the reference
-          pending list, with ``_choose`` inlined as a direct scan, and
-          degenerate backlogs — every buffered entry a twin of the
-          incoming element, row open, bus direction matching, no
-          refresh due — collapsed into **closed-form episodes** (the
-          arithmetic-series recurrence ``enqueue_run`` uses,
-          generalised to mid-batch).  Any episode precondition failing
-          falls back to the exact per-element drain.
-        * **FCFS controllers** — ``window == 1`` defeats both the fast
-          path (an uncontended pair forced through ``_choose`` may
-          reorder) and the episode preconditions, so window-1
-          controllers replay the column through ``enqueue`` itself.
+          touches the pending buffer.
+        * **contended stretches** — ``enqueue`` per element: append,
+          drain while over the window, then drain whatever can start
+          before the new arrival (``_choose`` + ``_service_at``
+          semantics) over the reference pending list, with ``_choose``
+          inlined as a direct scan.
+        * **FCFS controllers** — ``window == 1`` defeats the fast path
+          (an uncontended pair forced through ``_choose`` may
+          reorder), so window-1 controllers replay the column through
+          ``enqueue`` itself.
+
+        Runs of identical transactions belong in :meth:`enqueue_run`,
+        the scheduler's only closed form.
 
         Which regime serviced how many transactions is tallied in the
         :class:`ServicePathStats` sidecar (``self.service_paths``) —
@@ -349,7 +349,7 @@ class ChannelController:
             self.service_paths.scalar_fallback_served += stats.served - before
             return
         if kinds is not None:
-            # Replay maximal uniform-kind chunks through the scalar-kind
+            # Replay maximal same-kind chunks through the scalar-kind
             # datapath below: kind only affects stat bucketing, never a
             # scheduling decision, and chunk-splitting invariance is
             # pinned by the differential suite
@@ -507,7 +507,6 @@ class ChannelController:
         # accumulators; the finally writes every one of them back so
         # the controller stays consistent on exceptional exits too.
         try:
-            closed_served = 0
             drain_served = 0
             i = 0
             while i < total:
@@ -566,8 +565,7 @@ class ChannelController:
                             bank.open_row = p_row
                             cas_issue = act_start + trcd
                         data_ready = cas_issue + tcas
-                        bank_busy = cas_issue + burst
-                        bank.busy_until_ps = bank_busy
+                        bank.busy_until_ps = cas_issue + burst
                         if p_w != last_was_write:
                             bus_free += turnaround
                             last_was_write = p_w
@@ -593,8 +591,6 @@ class ChannelController:
                         else:
                             bookkeeping_lat += latency
                             bookkeeping_n += 1
-                        s_bank = p_bank
-                        s_row = p_row
                         p_arr = arrival
                         p_acc = accounts[i]
                         p_bank = banks[i]
@@ -602,283 +598,28 @@ class ChannelController:
                         p_w = is_writes[i]
                         p_kind = kind
                         i += 1
-                        if p_bank != s_bank or p_row != s_row:
-                            continue
-                        # Run-length row-hit streak: the serviced row is now
-                        # open, so successive same-bank same-row transactions
-                        # are guaranteed hits — stream them with the bank's
-                        # fields held in locals (refresh or contention breaks
-                        # the streak back to the full path above).
-                        run_hits = 0
-                        while i < total:
-                            arrival = arrivals[i]
-                            start = p_arr if p_arr > bank_busy else bank_busy
-                            if start >= arrival:
-                                break
-                            if trefi and p_arr >= next_refresh:
-                                break
-                            run_hits += 1
-                            bank_busy = start + burst
-                            if p_w != last_was_write:
-                                bus_free += turnaround
-                                last_was_write = p_w
-                            data_ready = start + tcas
-                            completion = (
-                                data_ready if data_ready > bus_free else bus_free
-                            ) + burst
-                            bus_free = completion
-                            served += 1
-                            if p_w:
-                                n_writes += 1
-                            else:
-                                n_reads += 1
-                            latency = completion - p_acc
-                            total_lat += latency
-                            if p_kind == DEMAND:
-                                demand_lat += latency
-                                demand_n += 1
-                            elif p_kind == MIGRATION:
-                                migration_lat += latency
-                                migration_n += 1
-                            else:
-                                bookkeeping_lat += latency
-                                bookkeeping_n += 1
-                            p_arr = arrival
-                            p_acc = accounts[i]
-                            p_bank = banks[i]
-                            p_row = rows[i]
-                            p_w = is_writes[i]
-                            p_kind = kind
-                            i += 1
-                            if p_bank != s_bank or p_row != s_row:
-                                break
-                        if run_hits:
-                            bank.hits += run_hits
-                            row_hits += run_hits
-                            bank.busy_until_ps = bank_busy
-                            if completion > last_completion:
-                                last_completion = completion
                     pending.append((p_arr, p_acc, p_bank, p_row, p_w, p_kind))
                     if i >= total:
                         break
                     # The next element is contended against the held one:
                     # fall through into the contended engine.
                 # -- contended stretch --------------------------------
-                # The reference pending list plus ``_choose_idx``'s direct
-                # scan: appends stay a plain list append and a mid-list
-                # pop of a window's worth of entries is one small memmove.
-                # What the batched engine adds on top of ``enqueue`` are
-                # the two closed-form episode shapes, both gated on the
-                # ``uni`` flag below so ordinary demand pays one local
-                # bool test per element.
-                #
-                # ``uni`` tracks "every buffered entry equals ``prev``"
-                # incrementally instead of rescanning the buffer per
-                # element: it is established once on stretch entry (the
-                # backlog an ``enqueue_run`` tail leaves is all twins),
-                # preserved by the episode paths (they only append
-                # twins), and killed by any ordinary append.  A buffer
-                # that *becomes* uniform some other way is merely missed
-                # — every episode falls back to the exact per-element
-                # drain, so the flag is a performance hint, never a
-                # correctness input.
-                prev = pending[-1]
-                uni = True
-                for v in pending:
-                    if v != prev:
-                        uni = False
-                        break
-                s0 = served - closed_served
+                # ``enqueue`` per element over the reference pending list,
+                # with ``_choose`` inlined as ``_choose_idx``'s direct
+                # scan.  The buffer never holds fewer than two entries
+                # after an append here: the stretch starts with at least
+                # one buffered and hands back to the fast path as soon as
+                # a drain leaves one or none, so ``enqueue``'s lone-entry
+                # early return cannot fire.
+                s0 = served
                 while i < total:
                     arrival = arrivals[i]
-                    entry = (
+                    pending.append((
                         arrival, accounts[i], banks[i], rows[i],
                         is_writes[i], kind,
-                    )
-                    # -- closed-form backlog episode --------------------
-                    # enqueue_run's steady state, generalised to
-                    # mid-batch.  With the buffer holding only twins of
-                    # the incoming element, appends below the window are
-                    # provably service-free — the chosen head is a twin
-                    # whose start ``max(arrival, busy)`` can never
-                    # precede its own arrival, so the gated drain breaks
-                    # at once — and the window fill collapses into one
-                    # bulk extend.  Once the window is full (and the
-                    # twins' row open, the bus direction matching, no
-                    # refresh due), every further append services
-                    # exactly one twin head: a row hit at its own
-                    # arrival, age promotion dormant under equal
-                    # arrivals, the serviced head replaced by the
-                    # identical incoming element.  A run of incoming
-                    # twins therefore collapses into the same
-                    # arithmetic-series recurrence enqueue_run uses.
-                    # Any precondition failing falls through to the
-                    # exact per-element drain below.
-                    gate = uni and entry == prev
-                    if gate:
-                        e_arr, e_acc, e_bank, e_row, e_w, e_kind = entry
-                        j = i + 1
-                        while (
-                            j < total
-                            and arrivals[j] == e_arr
-                            and banks[j] == e_bank
-                            and rows[j] == e_row
-                            and is_writes[j] == e_w
-                            and accounts[j] == e_acc
-                        ):
-                            j += 1
-                        run = j - i
-                        fill = window - len(pending)
-                        if fill > 0:
-                            if fill > run:
-                                fill = run
-                            pending.extend([entry] * fill)
-                            run -= fill
-                            i += fill
-                            if run == 0:
-                                continue
-                        if (
-                            e_w == last_was_write
-                            and bank_list[e_bank].open_row == e_row
-                            and not (trefi and e_arr >= next_refresh)
-                        ):
-                            bank = bank_list[e_bank]
-                            bank_busy = bank.busy_until_ps
-                            # Same recurrence as enqueue_run: stable
-                            # within three steps, arithmetic series
-                            # after.
-                            warm = 3 if run > 3 else run
-                            completion = bus_free
-                            lat = 0
-                            for _ in range(warm):
-                                start = (
-                                    e_arr if e_arr > bank_busy else bank_busy
-                                )
-                                bank_busy = start + burst
-                                data_ready = start + tcas
-                                completion = (
-                                    data_ready if data_ready > bus_free
-                                    else bus_free
-                                ) + burst
-                                bus_free = completion
-                                lat += completion - e_acc
-                            tail = run - warm
-                            if tail > 0:
-                                bank_busy += tail * burst
-                                bus_free += tail * burst
-                                lat += (
-                                    tail * (completion - e_acc)
-                                    + burst * tail * (tail + 1) // 2
-                                )
-                            bank.busy_until_ps = bank_busy
-                            bank.hits += run
-                            row_hits += run
-                            if bus_free > last_completion:
-                                last_completion = bus_free
-                            served += run
-                            if e_w:
-                                n_writes += run
-                            else:
-                                n_reads += run
-                            total_lat += lat
-                            if e_kind == DEMAND:
-                                demand_lat += lat
-                                demand_n += run
-                            elif e_kind == MIGRATION:
-                                migration_lat += lat
-                                migration_n += run
-                            else:
-                                bookkeeping_lat += lat
-                                bookkeeping_n += run
-                            closed_served += run
-                            i = j
-                            continue
-                    # -- per-element: append + window-bounded drain -----
-                    pending.append(entry)
+                    ))
                     i += 1
                     k = len(pending)
-                    was_uni = uni and not gate
-                    if not gate:
-                        # An ordinary append breaks the twin shape.  A
-                        # gated append whose episode preconditions failed
-                        # (row closed, turnaround, refresh due) is
-                        # another twin: the buffer stays uniform, and the
-                        # uniform drain below would re-test exactly the
-                        # conditions that just failed, so it is skipped.
-                        prev = entry
-                        uni = False
-                        if k == 1:
-                            break  # lone transaction: back to the fast path
-                    # -- closed-form uniform-backlog drain --------------
-                    # The second episode shape: the buffer holds twins
-                    # of the *previous* element (a page-copy read run
-                    # meeting its write phase, or a swap backlog meeting
-                    # demand) while the newcomer's later arrival gates
-                    # the drain.  The twin head is the oldest row hit,
-                    # so every drain iteration provably services it — no
-                    # promotion can fire against an equal-arrival head
-                    # and the head check never triggers — which
-                    # collapses the whole backlog into the enqueue_run
-                    # recurrence instead of one _choose scan per
-                    # serviced element.
-                    if was_uni and k > 2:
-                        twin = pending[0]
-                        if (
-                            twin[4] == last_was_write
-                            and bank_list[twin[2]].open_row == twin[3]
-                            and not (trefi and twin[0] >= next_refresh)
-                        ):
-                            e_arr, e_acc, e_bank, e_row, e_w, e_kind = twin
-                            bank = bank_list[e_bank]
-                            bank_busy = bank.busy_until_ps
-                            need = k - window  # unconditional overflow
-                            limit = k - 1  # the gated newcomer stays
-                            done = 0
-                            lat = 0
-                            while done < limit:
-                                start = (
-                                    e_arr if e_arr > bank_busy else bank_busy
-                                )
-                                if done >= need and start >= arrival:
-                                    break
-                                bank_busy = start + burst
-                                data_ready = start + tcas
-                                completion = (
-                                    data_ready if data_ready > bus_free
-                                    else bus_free
-                                ) + burst
-                                bus_free = completion
-                                lat += completion - e_acc
-                                done += 1
-                            if done:
-                                bank.busy_until_ps = bank_busy
-                                bank.hits += done
-                                row_hits += done
-                                if bus_free > last_completion:
-                                    last_completion = bus_free
-                                served += done
-                                if e_w:
-                                    n_writes += done
-                                else:
-                                    n_reads += done
-                                total_lat += lat
-                                if e_kind == DEMAND:
-                                    demand_lat += lat
-                                    demand_n += done
-                                elif e_kind == MIGRATION:
-                                    migration_lat += lat
-                                    migration_n += done
-                                else:
-                                    bookkeeping_lat += lat
-                                    bookkeeping_n += done
-                                closed_served += done
-                                del pending[:done]
-                            # The drain loops below are now a provable
-                            # no-op: the survivors are gated twins plus
-                            # the gated newcomer, within the window.
-                            if len(pending) > 1:
-                                continue
-                            break  # drained: the fast path takes over
                     while k > window:
                         _service(pending.pop(_choose_idx()))
                         k -= 1
@@ -900,11 +641,7 @@ class ChannelController:
                         _service(pending.pop(idx))
                     if len(pending) <= 1:
                         break  # drained: the fast path takes over
-                # Per-element services in this stretch all went through
-                # _service; the episodes tracked their own count, so the
-                # per-element tally is the served delta minus the closed
-                # delta — no per-service increment on the drain loops.
-                drain_served += served - closed_served - s0
+                drain_served += served - s0
 
         finally:
             self.bus_free_ps = bus_free
@@ -924,10 +661,8 @@ class ChannelController:
             stats.demand_count += demand_n
             stats.migration_count += migration_n
             stats.bookkeeping_count += bookkeeping_n
-            if closed_served or drain_served:
-                paths = self.service_paths
-                paths.closed_form_served += closed_served
-                paths.indexed_served += drain_served
+            if drain_served:
+                self.service_paths.indexed_served += drain_served
 
     def enqueue_run(
         self,

@@ -320,8 +320,8 @@ def _swap_merged_buffers(ctrls, batch):
     replays the controller as whole ``enqueue_batch`` segments
     alternating with closed-form ``enqueue_run`` calls.  This keeps the
     page copies off the per-element path entirely: expanding them into
-    the columns costs list extends plus the engine's run re-detection,
-    and slicing one big column back apart at flush time costs segment
+    the columns costs list extends plus a per-element drain of every
+    copy, and slicing one big column back apart at flush time costs segment
     copies — both measured slower (see EXPERIMENTS.md).  Only
     same-controller swaps, whose two banks interleave per line, expand
     per element (and materialise the lazy ``kd`` column).
@@ -331,7 +331,7 @@ def _swap_merged_buffers(ctrls, batch):
     that cut, so the merged emission order *is* the reference
     per-controller enqueue order — a due swap no longer ejects the
     buffered demand from the batched path, and the backlog it creates
-    lands in the controller's closed-form episode engine.
+    drains through the batched path's per-element scan.
     """
     demand = DEMAND
     migration = MIGRATION
@@ -866,8 +866,8 @@ def _replay_thm(trace, packed, manager, throttle_cap_ps):
     absorbing the migration's journalled swap into the view.  The
     buffers flush through one ``enqueue_batch`` call per controller at
     each chunk end (before the throttle probe reads the bus cursors), so
-    the migration backlog lands in the batched path's episode engine
-    instead of a scalar drain.
+    the migration backlog drains through the batched path's hoisted
+    scan instead of the scalar ``enqueue``.
     """
     memory = manager.memory
     ctrls = _hybrid_controllers(memory)

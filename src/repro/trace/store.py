@@ -22,9 +22,7 @@ Environment knobs (all folded into — or provably excluded from — the
 result-cache key; see ``repro.analysis.cachekey``):
 
 * ``REPRO_TRACE_DIR``       — store root (default ``~/.cache/repro/traces``),
-* ``REPRO_NO_TRACE_STORE``  — set to 1 to bypass the store entirely,
-* ``REPRO_TRACE_WINDOW``    — streaming window in records (default
-  65,536; must be a positive multiple of the 128-record chunk).
+* ``REPRO_NO_TRACE_STORE``  — set to 1 to bypass the store entirely.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from typing import Iterator, List, Optional, Union
 
 from ..common.errors import ConfigError, TraceError
 from .io import (
-    CHUNK_RECORDS,
     load_columnar_planes,
     read_columnar_header,
     save_columnar,
@@ -46,7 +43,6 @@ from .record import PAGE_BYTES, Trace, TraceRecord
 
 TRACE_DIR_ENV_VAR = "REPRO_TRACE_DIR"
 NO_STORE_ENV_VAR = "REPRO_NO_TRACE_STORE"
-WINDOW_ENV_VAR = "REPRO_TRACE_WINDOW"
 
 #: default streaming window, in records (512 throttle chunks — ~2.5 MB
 #: of decode planes at 5 int64 columns, far below one trace-length list)
@@ -76,34 +72,6 @@ def store_enabled() -> bool:
     the trace lives, never what any cell computes.
     """
     return os.environ.get(NO_STORE_ENV_VAR, "").strip() in ("", "0")
-
-
-def resolve_trace_window() -> int:
-    """The streaming window from ``REPRO_TRACE_WINDOW`` (validated).
-
-    Excluded from the result-cache key on purpose: the window only
-    changes how many records are decoded per batch, and batch splitting
-    is result-identical (see
-    :meth:`~repro.trace.packed.PackedTrace.chunk_groups_streamed`);
-    the differential suite pins several windows against the in-memory
-    path.  Invalid values raise :class:`ConfigError` naming the
-    variable.
-    """
-    value = os.environ.get(WINDOW_ENV_VAR)
-    if value is None or not value.strip():
-        return DEFAULT_TRACE_WINDOW
-    try:
-        window = int(value)
-    except ValueError:
-        raise ConfigError(
-            f"{WINDOW_ENV_VAR} must be an integer, got {value!r}"
-        ) from None
-    if window <= 0 or window % CHUNK_RECORDS:
-        raise ConfigError(
-            f"{WINDOW_ENV_VAR} must be a positive multiple of "
-            f"{CHUNK_RECORDS}, got {window}"
-        )
-    return window
 
 
 class _ColumnRecords:
@@ -174,22 +142,19 @@ class MappedTrace(Trace):
 
 
 def open_columnar(
-    path: PathLike, name: str = "", window: Optional[int] = None
+    path: PathLike, name: str = "", window: int = DEFAULT_TRACE_WINDOW
 ) -> Trace:
     """Open a v2 columnar trace file for replay.
 
-    Returns a :class:`MappedTrace` streaming at ``window`` records
-    (``REPRO_TRACE_WINDOW`` when not given).  Validation already
-    happened in :func:`~repro.trace.io.read_columnar_header`; the
-    stored columns were validated when written, so opening does not
-    re-run the O(n) record validation.
+    Returns a :class:`MappedTrace` streaming at ``window`` records.
+    Validation already happened in
+    :func:`~repro.trace.io.read_columnar_header`; the stored columns
+    were validated when written, so opening does not re-run the O(n)
+    record validation.
     """
     info, planes = load_columnar_planes(path)
     packed = PackedTrace.from_planes(
-        planes,
-        info.max_address,
-        info.page_shift,
-        window if window is not None else resolve_trace_window(),
+        planes, info.max_address, info.page_shift, window
     )
     return MappedTrace._wrap(name or Path(path).stem, info.page_bytes, packed)
 
@@ -233,7 +198,7 @@ class TraceStore:
         return path
 
     def open(
-        self, key: str, name: str = "", window: Optional[int] = None
+        self, key: str, name: str = "", window: int = DEFAULT_TRACE_WINDOW
     ) -> Optional[Trace]:
         """Open entry ``key``, or ``None`` when it was never stored.
 
@@ -331,12 +296,10 @@ __all__ = [
     "NO_STORE_ENV_VAR",
     "TRACE_DIR_ENV_VAR",
     "TraceStore",
-    "WINDOW_ENV_VAR",
     "default_store_dir",
     "import_tracehm_tsv",
     "open_columnar",
     "read_columnar_header",
-    "resolve_trace_window",
     "store_enabled",
     "synth_trace_key",
 ]

@@ -1,17 +1,21 @@
 """Randomized differential stress for the contended service engine.
 
-``enqueue_batch``'s contended path layers a closed-form episode
-classifier over an inline ``_choose`` scan of the pending list, and
-window-1 controllers replay ``enqueue`` itself.  The unit suite (``test_dram_controller_batch.py``) pins each precondition in
-isolation; this suite generates *adversarial composites* — seeded
-random interleavings of the exact shapes that sit on the episode
-boundaries:
+``enqueue_batch`` serves a contended stretch per element, exactly as
+``enqueue`` does: append, drain while over the window, then the
+arrival-gated drain, with ``_choose`` inlined as a direct scan of the
+pending list.  Window-1 controllers replay ``enqueue`` itself, and
+``enqueue_run`` serves runs of identical transactions (the swap
+datapath's page copies) with a closed-form tail once its steady state
+holds.  The unit suite (``test_dram_controller_batch.py``) pins each
+shape in isolation; this suite generates *adversarial composites* —
+seeded random interleavings of the shapes where the scan drain's
+decisions are easiest to get wrong:
 
-* equal-arrival twin bursts (the degenerate all-twins backlog the
-  closed form serves),
-* read/write turnarounds straddling an episode (direction flip mid
-  twin run),
-* refresh boundaries landing inside a would-be episode,
+* equal-arrival twin bursts that overflow the window many times over
+  (the backlog ``enqueue_run``'s closed form serves),
+* read/write turnarounds inside a twin run (direction flip at the
+  same arrival),
+* refresh boundaries landing inside a twin burst,
 * an aged conflicting element parked under the backlog so starvation
   promotion fires mid-stretch,
 * swap-shaped migration runs merged behind demand (the merged-drain
@@ -22,9 +26,7 @@ boundaries:
 Every case drives identical columns through per-element ``enqueue``
 and through ``enqueue_batch`` / ``enqueue_run`` on twin controllers
 and asserts *full* state-snapshot equality (stats, bus/refresh/
-turnaround cursors, per-bank row state, exact pending contents).  The
-suite is pure Python — no numpy anywhere — so CI's no-numpy job runs
-it unchanged as the no-numpy leg.
+turnaround cursors, per-bank row state, exact pending contents).
 """
 
 from dataclasses import asdict
@@ -70,8 +72,8 @@ def adversarial_stretch(seed, events, timing):
     for _ in range(events):
         roll = rng.random()
         if roll < 0.30:
-            # Equal-arrival twin burst: the episode shape, long enough
-            # to overflow the window several times over.
+            # Equal-arrival twin burst, long enough to overflow the
+            # window several times over.
             bank = rng.randrange(4)
             row = rng.randrange(8)
             w = int(rng.random() < 0.5)
@@ -79,8 +81,8 @@ def adversarial_stretch(seed, events, timing):
             burst = 4 + rng.randrange(80)
             requests += [(bank, row, w, at, DEMAND)] * burst
         elif roll < 0.45:
-            # Turnaround straddling an episode: a read twin run that
-            # flips direction midway at the same arrival.
+            # Turnaround inside a twin run: a read run that flips
+            # direction midway at the same arrival.
             bank = rng.randrange(4)
             row = rng.randrange(8)
             at += rng.randrange(40_000)
@@ -88,8 +90,9 @@ def adversarial_stretch(seed, events, timing):
             requests += [(bank, row, 0, at, DEMAND)] * half
             requests += [(bank, row, 1, at, DEMAND)] * half
         elif roll < 0.55:
-            # Refresh inside an episode: park the burst right past the
-            # next tREFI multiple so the classifier must bail once.
+            # Refresh inside a twin burst: park the burst right past
+            # the next tREFI multiple so its first service pays the
+            # refresh stall.
             boundary = (at // trefi + 1) * trefi
             at = boundary + rng.randrange(5_000)
             bank = rng.randrange(4)
@@ -159,20 +162,19 @@ class TestAdversarialStretches:
         assert_batch_matches(requests, timing, window)
 
     def test_streams_exercise_every_engine(self):
-        # The generator must actually reach all three counted paths
+        # The generator must actually reach both counted batch paths
         # (plus the uncounted fast path) — otherwise the equality
-        # passes above prove less than they claim.
-        totals = {"closed": 0, "indexed": 0, "scalar": 0}
+        # passes above prove less than they claim.  ``enqueue_batch``
+        # has no closed form; ``enqueue_run``'s is exercised below.
+        totals = {"indexed": 0, "scalar": 0}
         for seed in (101, 202, 303):
             requests = adversarial_stretch(seed, 60, HBM_TIMING)
             for window in (1, 8, 32):
                 many = assert_batch_matches(requests, HBM_TIMING, window)
                 paths = many.service_paths
-                totals["closed"] += paths.closed_form_served
                 totals["indexed"] += paths.indexed_served
                 totals["scalar"] += paths.scalar_fallback_served
                 assert paths.batched_served <= many.stats.served
-        assert totals["closed"] > 0
         assert totals["indexed"] > 0
         assert totals["scalar"] > 0
 
@@ -180,8 +182,8 @@ class TestAdversarialStretches:
     def test_enqueue_run_inside_adversarial_stream(self, seed):
         # Interleave enqueue_run calls (the swap datapath) with scalar
         # demand from the adversarial generator: the run's closed-form
-        # tail must chain correctly off an episode-engine-drained
-        # backlog and vice versa.
+        # tail must chain correctly off a scan-drained backlog and vice
+        # versa, and the closed form must actually serve the runs.
         rng = DeterministicRng(seed)
         one = ChannelController(DDR4_1600_TIMING, BANKS)
         many = ChannelController(DDR4_1600_TIMING, BANKS)
@@ -201,13 +203,14 @@ class TestAdversarialStretches:
                 many.enqueue(*demand)
                 at += rng.randrange(4_000)
             assert snapshot(many) == snapshot(one)
+        assert many.service_paths.closed_form_served > 0
         assert one.flush() == many.flush()
         assert snapshot(many) == snapshot(one)
 
     def test_batch_split_points_inside_episodes(self):
-        # Splitting a column mid-episode (the kernels flush at
+        # Splitting a column inside a twin burst (the kernels flush at
         # arbitrary chunk boundaries) must not change anything: the
-        # episode re-forms from the carried pending buffer.
+        # drain resumes from the carried pending buffer.
         requests = adversarial_stretch(404, 50, HBM_TIMING)
         cols = list(map(list, zip(*requests)))
         whole = ChannelController(HBM_TIMING, BANKS)

@@ -372,8 +372,8 @@ class TestLazyRefresh:
         assert one.refreshes > 40 * 20
 
     def test_refresh_inside_row_hit_run(self):
-        # A refresh boundary lands mid-run: the batch path's streak
-        # must break and re-apply the stall exactly.
+        # A refresh boundary lands mid-run: the batch path's fast path
+        # must apply the stall exactly where the reference does.
         trefi = HBM_TIMING.trefi_ps
         start = trefi - 2_000
         requests = [(2, 9, 0, start + i * 1_500) for i in range(200)]
@@ -383,43 +383,46 @@ class TestLazyRefresh:
 
 
 class TestServiceEngine:
-    """The contended-path service engine: closed-form episodes, the
-    scan drain, and the observability sidecar.
+    """The contended-path service engine: the scan drain, the
+    closed-form tail of ``enqueue_run``, and the observability sidecar.
 
     End-state equality is covered by every ``run_pair`` above; these
-    tests pin the *internals*: that the episode classifier actually
-    fires on its degenerate shape, that the scan drain (the inline
-    ``_choose``) leaves the controller exactly where the scalar
+    tests pin the *internals*: that ``enqueue_run`` actually reaches
+    its closed form on the twin-run shape, that the scan drain (the
+    inline ``_choose``) leaves the controller exactly where the scalar
     reference does after every single element, at the paper's window
-    and beyond it, and that the sidecar counters are conserved and
-    invisible to result snapshots.
+    and beyond it, on the twin-backlog shapes that sit next to the
+    closed form's preconditions, and that the sidecar counters are
+    conserved and invisible to result snapshots.
     """
 
     def test_episode_shape_uses_closed_form(self):
         # The degenerate backlog: one long run of identical elements at
         # one arrival — every buffered entry is a twin of the incoming
-        # element, so FR-FCFS's pick order is provably fixed and the
-        # whole stretch must service via closed-form arithmetic.
-        requests = [(1, 3, 0, 5_000)] * 300
-        one = run_pair(requests)
+        # element, so FR-FCFS's pick order is provably fixed and
+        # enqueue_run must serve the steady state in closed form.
+        count = 300
+        one = ChannelController(HBM_TIMING, BANKS)
+        for _ in range(count):
+            one.enqueue(1, 3, False, 5_000)
         many = ChannelController(HBM_TIMING, BANKS)
-        bank_col, row_col, write_col, arrival_col = map(list, zip(*requests))
-        many.enqueue_batch(bank_col, row_col, write_col, arrival_col)
+        many.enqueue_run(1, 3, False, 5_000, count)
+        assert snapshot(many) == snapshot(one)
         assert many.service_paths.closed_form_served > 200
         assert many.service_paths.scalar_fallback_served == 0
+        assert one.flush() == many.flush()
+        assert snapshot(many) == snapshot(one)
 
     def test_episode_bails_on_direction_flip(self):
-        # A write twin arriving into a read backlog breaks the
-        # degenerate shape: the engine must fall back to the
-        # per-element scan drain at the turnaround, not mis-serve the episode.
+        # A write twin arriving into a read backlog: the scan drain
+        # must pay the turnaround exactly where the reference does.
         requests = [(2, 7, 0, 9_000)] * 40 + [(2, 7, 1, 9_000)] * 40
         run_pair(requests)
 
     def test_episode_bails_on_refresh_boundary(self):
-        # The twin run arrives past a pending tREFI boundary; the
-        # closed-form recurrence has no refresh term, so the classifier
-        # must reject the episode until the per-element path has
-        # fast-forwarded the refresh and tallied its stall.
+        # The twin run arrives past a pending tREFI boundary: the scan
+        # drain must fast-forward the refresh and tally its stall
+        # exactly where the reference does.
         trefi = DDR4_1600_TIMING.trefi_ps
         requests = [(0, 4, 0, trefi + 1_000)] * 150
         one = run_pair(requests, timing=DDR4_1600_TIMING)
@@ -427,8 +430,8 @@ class TestServiceEngine:
 
     def test_episode_bails_on_age_promotion_candidate(self):
         # A conflicting older entry parked in the backlog means the
-        # buffer is not all twins: promotion may fire mid-stretch, so
-        # the episode precondition must reject the run.
+        # buffer is not all twins: promotion may fire mid-stretch, and
+        # the scan drain must promote exactly where the reference does.
         requests = [(0, 2, 0, 100)] + [(0, 1, 0, 5_000)] * 120
         run_pair(requests, timing=DDR4_1600_TIMING)
 

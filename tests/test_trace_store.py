@@ -36,12 +36,10 @@ from repro.trace.io import (
     save_columnar,
 )
 from repro.trace.store import (
-    DEFAULT_TRACE_WINDOW,
     MappedTrace,
     TraceStore,
     import_tracehm_tsv,
     open_columnar,
-    resolve_trace_window,
     store_enabled,
     synth_trace_key,
 )
@@ -329,15 +327,6 @@ class TestTraceForIntegration:
         warm = trace_for(config, "milc")
         assert len(warm) == 1500
         common._stored_trace.cache_clear()
-
-    def test_window_env_validation(self, monkeypatch):
-        assert resolve_trace_window() == DEFAULT_TRACE_WINDOW
-        monkeypatch.setenv("REPRO_TRACE_WINDOW", "256")
-        assert resolve_trace_window() == 256
-        for bad in ("abc", "-128", "0", "100"):
-            monkeypatch.setenv("REPRO_TRACE_WINDOW", bad)
-            with pytest.raises(ConfigError):
-                resolve_trace_window()
 
 
 class TestTracehmImport:
